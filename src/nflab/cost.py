@@ -342,25 +342,36 @@ TRANSPOSITION_MODEL = CostModel("transpositions", transposition_count_cost)
 
 @dataclass(frozen=True)
 class AggregateCostResult:
-    aggregate: CostVector
+    aggregates: Dict[str, CostVector]  # by aggregator name
     per_class: Dict[tuple, CostVector]
     minimizers: Dict[tuple, Permutation]
     exact: bool  # False when minima are best-of-sampled upper bounds
 
 
+def _fold(
+    aggregators: Sequence[Aggregator], minima: List[CostVector]
+) -> Dict[str, CostVector]:
+    folded = {agg.name: agg(minima) for agg in aggregators}
+    if len(folded) != len(aggregators):
+        raise ValidationError("aggregator names must be unique")
+    return folded
+
+
 def aggregate_cost(
     partition: ClassPartitionReport,
     cost_model: CostModel,
-    aggregator: Aggregator,
+    aggregators: Sequence[Aggregator],
     mode: str = "exhaustive",
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> AggregateCostResult:
-    """Per-class minimal single costs, combined by the aggregator.
+    """Per-class minimal single costs, folded by every aggregator.
 
-    In exhaustive mode every class member is scanned; best_of_sampled draws
-    ``samples`` members per class and the minima are upper bounds only
+    Each class is scanned once and every aggregator folds over the same
+    minima. In exhaustive mode every class member is scanned; best_of_sampled
+    draws ``samples`` members per class and the minima are upper bounds only
     (``exact=False``). Ties break to the lexicographically smallest member.
+    Aggregator names key the result, so they must be unique.
     """
     if mode not in ("exhaustive", "best_of_sampled"):
         raise ValidationError(f"unknown aggregate mode {mode!r}")
@@ -385,10 +396,9 @@ def aggregate_cost(
                 best_image = image
         per_class[key] = best
         minimizers[key] = Permutation(best_image)
-    order = sorted(per_class.keys())
-    minima = [per_class[k] for k in order]
+    minima = [per_class[k] for k in sorted(per_class)]
     return AggregateCostResult(
-        aggregate=aggregator(minima),
+        aggregates=_fold(aggregators, minima),
         per_class=per_class,
         minimizers=minimizers,
         exact=(mode == "exhaustive" and partition.mode == "exhaustive"),
@@ -439,37 +449,34 @@ def tilde_cost(tp: TildePermutation, cost_model: CostModel) -> CostVector:
 
 @dataclass(frozen=True)
 class SecondaryCostResult:
-    aggregate: CostVector
+    aggregates: Dict[str, CostVector]  # by aggregator name
     num_secondary_classes: int
     exact: bool
 
 
+# Largest number of secondary classes whose minima are built one by one.
+SECONDARY_CLASS_CAP = 10**6
+
+
 def aggregate_cost_samp_alg(
-    partition: ClassPartitionReport,
-    nx: int,
-    cost_model: CostModel,
-    aggregator: Aggregator,
-    mode: str = "exhaustive",
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
-    class_cap: int = 10**6,
+    primary: AggregateCostResult, nx: int, aggregators: Sequence[Aggregator]
 ) -> SecondaryCostResult:
-    """Aggregate cost over secondary classes built from a primary partition.
+    """Aggregate cost over secondary classes built from primary class minima.
 
     A secondary class is an ordered 2^nx-tuple of primary classes, and the
     block-sum cost of its cheapest member is the sum of per-block minima, so
-    the minimization separates; nx = 0 reduces exactly to aggregate_cost.
+    the minimization separates and no class member is scanned again; nx = 0
+    reduces exactly to the primary aggregates. Raises ResourceLimitError when
+    there are more than SECONDARY_CLASS_CAP secondary classes.
     """
     if nx < 0:
         raise ValidationError("nx must be non-negative")
-    primary = aggregate_cost(partition, cost_model, aggregator, mode, samples, seed)
-    order = sorted(primary.per_class.keys())
-    minima = [primary.per_class[k] for k in order]
+    minima = [primary.per_class[k] for k in sorted(primary.per_class)]
     num_blocks = 1 << nx
     total = len(minima) ** num_blocks
-    if total > class_cap:
+    if total > SECONDARY_CLASS_CAP:
         raise ResourceLimitError(
-            f"secondary class count {total} exceeds cap {class_cap}"
+            f"secondary class count {total} exceeds cap {SECONDARY_CLASS_CAP}"
         )
     secondary_minima = []
     for combo in itertools.product(minima, repeat=num_blocks):
@@ -478,7 +485,7 @@ def aggregate_cost_samp_alg(
             acc = acc.add(c)
         secondary_minima.append(acc)
     return SecondaryCostResult(
-        aggregate=aggregator(secondary_minima),
+        aggregates=_fold(aggregators, secondary_minima),
         num_secondary_classes=total,
         exact=primary.exact,
     )

@@ -376,7 +376,7 @@ def collapse_witness(
     """
     N = shape.N
     if not (1 <= i_star <= N and 1 <= j_star <= N) or i_star == j_star:
-        raise IndexError(f"positions ({i_star}, {j_star}) invalid for N = {N}")
+        raise ValidationError(f"positions ({i_star}, {j_star}) invalid for N = {N}")
     p = compose(
         transposition(i_star - 1, 0, N), transposition(j_star - 1, N - 1, N)
     )

@@ -67,7 +67,7 @@ def _predicate_violations(
     tol = 0 if state.backend == "rational" else tolerance
     if not is_distinct(state, tol):
         out.append(f"state {name} is not distinct")
-    if not strong_distinct_oracle(state, shape):
+    if not strong_distinct_oracle(state, shape, tolerance):
         out.append(f"state {name} is not strongly distinct")
     return out
 
@@ -85,7 +85,9 @@ def nfl_compare(
 
     Both states must pass distinctness and the strong-distinctness oracle;
     otherwise a precondition-violation report is returned (not an exception),
-    citing the collapsed class count M < M*.
+    citing the collapsed class count M < M*. Each state's classes are scanned
+    once per cost model, and every aggregator, primary and secondary (nx > 0),
+    folds over those per-class minima.
     """
     m_star = count_classes(shape)
     violations = _predicate_violations("A", state_a, shape, tolerance)
@@ -112,27 +114,19 @@ def nfl_compare(
     identical = part_a.labels == part_b.labels
 
     cost_pairs: Dict[Tuple[str, str], CostPair] = {}
-    for model in cost_models:
-        for agg in aggregators:
-            ra = aggregate_cost(part_a, model, agg)
-            rb = aggregate_cost(part_b, model, agg)
-            cost_pairs[(model.name, agg.name)] = CostPair(ra.aggregate, rb.aggregate)
-
     secondary_counts = None
-    secondary_pairs = None
-    if nx is not None and nx > 0:
-        secondary_pairs = {}
-        for model in cost_models:
-            for agg in aggregators:
-                sa = aggregate_cost_samp_alg(part_a, nx, model, agg)
-                sb = aggregate_cost_samp_alg(part_b, nx, model, agg)
-                secondary_pairs[(model.name, agg.name)] = CostPair(
-                    sa.aggregate, sb.aggregate
-                )
-                secondary_counts = (
-                    sa.num_secondary_classes,
-                    sb.num_secondary_classes,
-                )
+    secondary_pairs = {} if nx is not None and nx > 0 else None
+    for model in cost_models:
+        ra = aggregate_cost(part_a, model, aggregators)
+        rb = aggregate_cost(part_b, model, aggregators)
+        for name, cost in ra.aggregates.items():
+            cost_pairs[(model.name, name)] = CostPair(cost, rb.aggregates[name])
+        if secondary_pairs is not None:
+            sa = aggregate_cost_samp_alg(ra, nx, aggregators)
+            sb = aggregate_cost_samp_alg(rb, nx, aggregators)
+            for name, cost in sa.aggregates.items():
+                secondary_pairs[(model.name, name)] = CostPair(cost, sb.aggregates[name])
+            secondary_counts = (sa.num_secondary_classes, sb.num_secondary_classes)
 
     return NflReport(
         shape=shape,

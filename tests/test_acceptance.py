@@ -134,13 +134,13 @@ def test_accept_04_identical_partitions_and_costs():
     avg_value = None
     detail = []
     for model in models:
+        res_a = aggregate_cost(part_a, model, aggregators)
+        res_b = aggregate_cost(part_b, model, aggregators)
+        ok = ok and res_a.aggregates == res_b.aggregates
         for agg in aggregators:
-            res_a = aggregate_cost(part_a, model, agg)
-            res_b = aggregate_cost(part_b, model, agg)
-            ok = ok and res_a.aggregate == res_b.aggregate
-            detail.append(f"{model.name}/{agg.kind}={res_a.aggregate.values[0]}")
-            if model is TRANSPOSITION_MODEL and agg.kind == "average":
-                avg_value = res_a.aggregate.values[0]
+            detail.append(f"{model.name}/{agg.kind}={res_a.aggregates[agg.name].values[0]}")
+        if model is TRANSPOSITION_MODEL:
+            avg_value = res_a.aggregates["average"].values[0]
     ok = ok and avg_value == 2.0
     report(4, ok, "identical partitions + costs: " + " ".join(detail), t0, 120.0)
 
@@ -149,14 +149,16 @@ def test_accept_05_secondary_costs():
     t0 = time.perf_counter()
     part_a = distribution_class_partition(sample_haar_qr(1, seed=1), S1)
     part_b = distribution_class_partition(sample_haar_qr(1, seed=2), S1)
-    results = {}
-    ok = True
-    for agg in (Aggregator("average"), Aggregator("max")):
-        res_a = aggregate_cost_samp_alg(part_a, 1, TRANSPOSITION_MODEL, agg)
-        res_b = aggregate_cost_samp_alg(part_b, 1, TRANSPOSITION_MODEL, agg)
-        ok = ok and res_a.num_secondary_classes == 81 == res_b.num_secondary_classes
-        ok = ok and res_a.aggregate == res_b.aggregate
-        results[agg.kind] = res_a.aggregate.values[0]
+    aggregators = (Aggregator("average"), Aggregator("max"))
+    res_a = aggregate_cost_samp_alg(
+        aggregate_cost(part_a, TRANSPOSITION_MODEL, aggregators), 1, aggregators
+    )
+    res_b = aggregate_cost_samp_alg(
+        aggregate_cost(part_b, TRANSPOSITION_MODEL, aggregators), 1, aggregators
+    )
+    ok = res_a.num_secondary_classes == 81 == res_b.num_secondary_classes
+    ok = ok and res_a.aggregates == res_b.aggregates
+    results = {name: cost.values[0] for name, cost in res_a.aggregates.items()}
     ok = ok and results["average"] == 4.0 and results["max"] == 8
     report(
         5, ok,

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
+import nflab.cli
+from nflab import RegisterShape, scalar_cost
 from nflab.cli import main
+from nflab.nfl import CostPair, NflReport
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +119,46 @@ class TestNflCommand:
         assert report["results"]["secondary_classes"] == [81, 81]
         assert report["results"]["secondary_costs"]["transpositions/average"]["a"] == [4.0]
 
+    def test_secondary_class_cap(self, capsys):
+        # 9 classes and 2^3 blocks give 9^8 secondary classes, over the 10^6 cap.
+        code, out = run_cli(
+            capsys, "nfl", "--nx", "3", "--cost", "transpositions", "--aggregator", "average"
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "d242faf8dd37fc96de5ab8962e48439586ef177a792fe69c1386330487fe596f"),
+        (("--nx", "1"), "e99ddae4dd606e5a0d359d3ab66ecd26f81476bac2bee8b5a233139bb2d6b72d"),
+    ])
+    def test_default_shape_reports_are_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "nfl", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_secondary_mismatch_fails_the_check(self, capsys, monkeypatch):
+        # Primary costs and class counts agree; only one secondary pair differs.
+        same = CostPair(scalar_cost("transpositions", 2.0), scalar_cost("transpositions", 2.0))
+        differ = CostPair(scalar_cost("transpositions", 4.0), scalar_cost("transpositions", 5.0))
+        report = NflReport(
+            shape=RegisterShape(1, 1, 1, 1, nx=1),
+            precondition_ok=True,
+            violations=(),
+            m_star=9,
+            m_a=9,
+            m_b=9,
+            partitions_identical=True,
+            cost_pairs={("transpositions", "average"): same},
+            secondary_class_counts=(81, 81),
+            secondary_cost_pairs={("transpositions", "average"): differ},
+        )
+        monkeypatch.setattr(nflab.cli, "nfl_compare", lambda *args, **kwargs: report)
+        code, out = run_cli(capsys, "nfl", "--nx", "1")
+        assert code == 3
+        result = json.loads(out)
+        assert result["verdicts"]["equal_costs"] is False
+        assert result["results"]["secondary_costs"]["transpositions/average"]["equal"] is False
+
 
 class TestCollapseCommand:
     def test_default_witness(self, capsys):
@@ -139,6 +183,19 @@ class TestCollapseCommand:
         code, out = run_cli(capsys, "collapse", "--degenerate", "1/2,1/2")
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_out_of_range_position_is_a_guard(self, capsys):
+        code, out = run_cli(capsys, "collapse", "--istar", "0")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
+    def test_internal_index_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise IndexError("internal fault")
+
+        monkeypatch.setattr(nflab.cli, "collapse_witness", broken)
+        with pytest.raises(IndexError):
+            main(["collapse"])
 
 
 class TestScalingCommand:

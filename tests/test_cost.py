@@ -1,5 +1,6 @@
 """Unit tests for cost vectors, the reversible compiler, and preparation routines."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,17 +22,21 @@ from nflab import (
     build_tilde_p,
     compile_permutation,
     compose,
+    count_classes,
     distribution_class_partition,
     gate_list_from_text,
     identity,
+    make_gate_count_model,
     output_distribution,
     build_input_state,
     prepare_stars_and_bars,
     random_permutation,
     random_stars_and_bars_target,
     rational_state,
+    sample_haar_qr,
     scalar_cost,
     scaling_experiment,
+    secondary_class_key,
     tilde_cost,
     transposition,
     transposition_count_cost,
@@ -158,27 +163,33 @@ class TestCompiler:
 class TestAggregateCost:
     def test_per_class_minima_at_s1(self):
         partition = distribution_class_partition(FIXTURE, S1)
-        result = aggregate_cost(partition, TRANSPOSITION_MODEL, Aggregator("average"))
+        result = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("average")])
         minima = sorted(v.values[0] for v in result.per_class.values())
         assert minima == [0, 1, 1, 2, 2, 2, 3, 3, 4]
-        assert result.aggregate.values == (2.0,)
+        assert result.aggregates["average"].values == (2.0,)
         assert result.exact
+
+    def test_aggregator_names_must_be_unique(self):
+        partition = distribution_class_partition(FIXTURE, S1)
+        budgets = [Aggregator("budget", (1.0,)), Aggregator("budget", (3.0,))]
+        with pytest.raises(ValidationError):
+            aggregate_cost(partition, TRANSPOSITION_MODEL, budgets)
 
     def test_minimizers_are_members_with_minimal_cost(self):
         partition = distribution_class_partition(FIXTURE, S1)
-        result = aggregate_cost(partition, TRANSPOSITION_MODEL, Aggregator("max"))
+        result = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
         for key, p in result.minimizers.items():
             assert TRANSPOSITION_MODEL(p) == result.per_class[key]
 
     def test_sampled_mode_upper_bounds_exact(self):
         partition = distribution_class_partition(FIXTURE, S1)
-        exact = aggregate_cost(partition, TRANSPOSITION_MODEL, Aggregator("max"))
+        exact = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
         approx = aggregate_cost(
-            partition, TRANSPOSITION_MODEL, Aggregator("max"),
+            partition, TRANSPOSITION_MODEL, [Aggregator("max")],
             mode="best_of_sampled", samples=50, seed=1,
         )
         assert not approx.exact
-        assert exact.aggregate <= approx.aggregate
+        assert exact.aggregates["max"] <= approx.aggregates["max"]
 
 
 class TestSecondaryCost:
@@ -190,9 +201,42 @@ class TestSecondaryCost:
 
     def test_secondary_aggregate_at_s1(self):
         partition = distribution_class_partition(FIXTURE, S1)
-        res = aggregate_cost_samp_alg(partition, 1, TRANSPOSITION_MODEL, Aggregator("average"))
+        average = [Aggregator("average")]
+        primary = aggregate_cost(partition, TRANSPOSITION_MODEL, average)
+        res = aggregate_cost_samp_alg(primary, 1, average)
         assert res.num_secondary_classes == 81
-        assert res.aggregate.values == (4.0,)
+        assert res.aggregates["average"].values == (4.0,)
+
+    @pytest.mark.parametrize("model, budget", [
+        (TRANSPOSITION_MODEL, 2.0),
+        (make_gate_count_model(2), 12.0),
+    ])
+    def test_secondary_fold_matches_brute_force_over_block_pairs(self, model, budget):
+        # Oracle: every ordered pair of N = 4 permutations, grouped by its
+        # secondary class key, with each group's minimum tilde cost found by
+        # brute force. For a generic state the key groups are the secondary
+        # classes, so folding their minima must give the secondary aggregates.
+        shape = RegisterShape(0, 0, 2, 1)
+        partition = distribution_class_partition(sample_haar_qr(2, seed=3), shape)
+        assert partition.num_classes == count_classes(shape) == 6
+        aggregators = [Aggregator("average"), Aggregator("max"), Aggregator("budget", (budget,))]
+        group_minima = {}
+        perms = [Permutation(image) for image in itertools.permutations(range(shape.N))]
+        for blocks in itertools.product(perms, repeat=2):
+            tp = build_tilde_p(blocks)
+            key = secondary_class_key(tp, shape)
+            cost = tilde_cost(tp, model)
+            if key not in group_minima or cost < group_minima[key]:
+                group_minima[key] = cost
+        minima = list(group_minima.values())
+
+        primary = aggregate_cost(partition, model, aggregators)
+        res = aggregate_cost_samp_alg(primary, 1, aggregators)
+        assert res.num_secondary_classes == len(group_minima) == 36
+        assert res.exact
+        assert res.aggregates == {agg.name: agg(minima) for agg in aggregators}
+        # A budget that every class or no class meets would check nothing.
+        assert 0 < -res.aggregates["budget"].values[0] < 36
 
 
 class TestPreparation:
