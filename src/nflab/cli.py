@@ -404,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["exhaustive", "sampled"], default="exhaustive"
     )
     p_classes.add_argument("--samples", type=int, default=None)
-    p_classes.add_argument("--tolerance", type=float, default=1e-9)
+    p_classes.add_argument(
+        "--tolerance", type=float, default=1e-9,
+        help="float states share a class when pairwise within this; exit 2 if "
+        "that is not transitive (rational states group exactly; default 1e-9)",
+    )
     p_classes.add_argument("--csv", default=None, help="optional per-class CSV path")
     p_classes.add_argument("--out", default=None)
     p_classes.add_argument("--timings", action="store_true")

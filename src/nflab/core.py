@@ -184,15 +184,10 @@ def build_input_state(shape: RegisterShape, psi: ResourceState) -> InputState:
             f"shape expects {shape.resource_dim}"
         )
     copies = shape.copies
-    if psi.backend == "rational":
-        scaled = [q / copies for q in psi.squared_magnitudes]
-        zero: Scalar = Fraction(0)
-    else:
-        scaled = [q / copies for q in psi.squared_magnitudes]
-        zero = 0.0
+    zero: Scalar = Fraction(0) if psi.backend == "rational" else 0.0
     entries: list = []
-    for q in scaled:
-        entries.extend([q] * copies)
+    for q in psi.squared_magnitudes:
+        entries.extend([q / copies] * copies)
     entries.extend([zero] * shape.zero_class_size)
     return InputState(tuple(entries), shape)
 
@@ -298,9 +293,7 @@ def sample_outcome(input_state: InputState, p: Permutation, rng: random.Random) 
         raise ShapeError(f"permutation size {p.size} != N = {shape.N}")
     q = input_state.squared_magnitudes
     # ValidationError (not silent renormalization) on bad mass, per contract.
-    _check_normalized(
-        q, "rational" if input_state.backend == "rational" else "float", "input state"
-    )
+    _check_normalized(q, input_state.backend, "input state")
     u = rng.random()
     acc = 0.0
     j = max(k for k, mass in enumerate(q) if mass > 0)
@@ -340,6 +333,5 @@ def deferred_equivalence_check(input_state: InputState, p: Permutation) -> bool:
         raise ShapeError(f"permutation size {p.size} != N = {input_state.shape.N}")
     forward = _pushforward_distribution(input_state, p)
     backward = output_distribution(input_state, p).probabilities
-    if input_state.backend == "rational":
-        return forward == backward
-    return all(abs(a - b) <= FLOAT_ATOL for a, b in zip(forward, backward))
+    tol = 0 if input_state.backend == "rational" else FLOAT_ATOL
+    return all(abs(a - b) <= tol for a, b in zip(forward, backward))

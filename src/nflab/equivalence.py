@@ -1,27 +1,32 @@
 """Distribution and multiplicative equivalence classes of permutations.
 
 A permutation's multiplicity matrix (bins x value-classes occupancy counts) is
-the production canonical key for its double coset W.S.V, where V is the group
-of value-class-preserving permutations and W the group of bin-preserving ones.
+the canonical key for its double coset W.S.V, where V is the group of
+value-class-preserving permutations and W the group of bin-preserving ones.
 The definitional coset-search oracle is kept alongside it for validation.
+
+The distribution-class partition is built on that key for both numeric
+backends: permutations are grouped by key, one output distribution is
+computed per key, and keys whose distributions coincide (exactly, or pairwise
+within a float tolerance) are merged into one class.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
-    InputState,
     Permutation,
     RegisterShape,
     ResourceState,
     build_input_state,
     compose,
     invert,
+    output_distribution,
     transposition,
 )
 from .errors import ResourceLimitError, ShapeError, ValidationError
@@ -105,15 +110,31 @@ def bin_group_spec(shape: RegisterShape) -> BlockGroupSpec:
 # Multiplicative equivalence
 
 
+@functools.lru_cache
+def _key_function(shape: RegisterShape) -> Callable[[tuple], tuple]:
+    """The flattened multiplicity matrix of a permutation image: entry
+    y * C + c counts the positions of value class c sent to bin y."""
+    B = shape.bin_size
+    C = shape.num_value_classes
+    value_class = [shape.value_class_of(j) for j in range(shape.N)]
+    size = shape.num_bins * C
+
+    def key(image: tuple) -> tuple:
+        counts = [0] * size
+        for v, c in zip(image, value_class):
+            counts[v // B * C + c] += 1
+        return tuple(counts)
+
+    return key
+
+
 def multiplicity_key(p: Permutation, shape: RegisterShape) -> MultiplicityMatrix:
     """counts[y][c] = number of positions in value class c that p sends to bin y."""
     if p.size != shape.N:
         raise ShapeError(f"permutation size {p.size} != N = {shape.N}")
-    B = shape.bin_size
-    counts = [[0] * shape.num_value_classes for _ in range(shape.num_bins)]
-    for j in range(shape.N):
-        counts[p(j) // B][shape.value_class_of(j)] += 1
-    return tuple(tuple(row) for row in counts)
+    flat = _key_function(shape)(p.image)
+    C = shape.num_value_classes
+    return tuple(flat[y * C : (y + 1) * C] for y in range(shape.num_bins))
 
 
 def same_multiplicative_class(
@@ -242,47 +263,32 @@ class ClassPartitionReport:
         return len(self.classes)
 
 
-def _scan_keys_rational(input_state: InputState, perms) -> Iterator[tuple]:
-    q = input_state.squared_magnitudes
-    den = math.lcm(*(f.denominator for f in q)) if q else 1
-    nums = [int(f * den) for f in q]
-    shape = input_state.shape
-    B = shape.bin_size
-    nb = shape.num_bins
-    for image in perms:
-        sums = [0] * nb
-        for j, mass in enumerate(nums):
-            sums[image[j] // B] += mass
-        yield image, tuple(Fraction(v, den) for v in sums)
+def _merge_distributions(dists: Sequence[tuple], tol) -> List[tuple]:
+    """Map each distribution to the least distribution of its group.
 
-
-def _scan_keys_float(input_state: InputState, perms) -> Iterator[tuple]:
-    q = input_state.squared_magnitudes
-    shape = input_state.shape
-    B = shape.bin_size
-    nb = shape.num_bins
-    for image in perms:
-        bins: list = [[] for _ in range(nb)]
-        for j, mass in enumerate(q):
-            bins[image[j] // B].append(mass)
-        # fsum gives the correctly rounded true sum, so the key is independent
-        # of summation order and of which equal-mass indices contribute.
-        yield image, tuple(math.fsum(b) for b in bins)
-
-
-def _merge_float_keys(keys: list, tolerance: float) -> Dict[tuple, tuple]:
-    """Map each raw float key to a canonical merged key (adjacent within tol)."""
-    mapping: Dict[tuple, tuple] = {}
-    canonical: Optional[tuple] = None
-    for key in sorted(set(keys)):
-        if canonical is not None and all(
-            abs(a - b) <= tolerance for a, b in zip(key, canonical)
-        ):
-            mapping[key] = canonical
-        else:
-            canonical = key
-            mapping[key] = key
-    return mapping
+    Two distributions are within tolerance when every entry differs by at
+    most ``tol``. Groups are the connected components of that relation over
+    every pair, so the result does not depend on the input order. A group
+    whose members are not pairwise within tolerance raises ValidationError:
+    the tolerance does not define distribution classes for this state.
+    """
+    values = sorted(set(dists))
+    near = [{i} for i in range(len(values))]  # indices within tol of each value
+    for i, a in enumerate(values):
+        for j in range(i + 1, len(values)):
+            if values[j][0] - a[0] > tol:
+                break  # sorted by first entry: no later value is within tol
+            if all(abs(x - y) <= tol for x, y in zip(a, values[j])):
+                near[i].add(j)
+                near[j].add(i)
+    for i, group in enumerate(near):
+        if any(near[k] != group for k in group):
+            raise ValidationError(
+                f"tolerance {tol} is not transitive here: {values[i]} is within "
+                f"it of distributions that are not within it of each other"
+            )
+    least = {v: values[min(group)] for v, group in zip(values, near)}
+    return [least[d] for d in dists]
 
 
 def distribution_class_partition(
@@ -297,8 +303,12 @@ def distribution_class_partition(
 
     Exhaustive mode scans all N! permutations in lexicographic order (guarded
     at N <= 8); sampled mode draws ``samples`` uniform permutations from the
-    stated seed. Rational states are grouped by exact distribution equality,
-    float states by correctly rounded bin sums merged within ``tolerance``.
+    stated seed. Each permutation is keyed by its multiplicity matrix, which
+    fixes its distribution; one distribution is computed per distinct key,
+    exactly on rational states and by correctly rounded sums on float states.
+    Keys whose distributions are pairwise within ``tolerance`` (0 on rational
+    states) form one class, named by its least distribution; a tolerance
+    under which closeness is not transitive raises ValidationError.
     """
     input_state = build_input_state(shape, state)
     if mode == "exhaustive":
@@ -322,39 +332,44 @@ def distribution_class_partition(
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
-    scan = (
-        _scan_keys_rational if input_state.backend == "rational" else _scan_keys_float
-    )
+    key_of = _key_function(shape)
+    slot_of: Dict[tuple, int] = {}
+    firsts: list = []  # the first image of each key, in order of appearance
     images: list = []
-    raw_keys: list = []
-    for image, key in scan(input_state, perms):
+    slots: list = []
+    for image in perms:
+        slot = slot_of.setdefault(key_of(image), len(slot_of))
+        if slot == len(firsts):
+            firsts.append(image)
         images.append(image)
-        raw_keys.append(key)
+        slots.append(slot)
 
-    if input_state.backend == "float":
-        mapping = _merge_float_keys(raw_keys, tolerance)
-        raw_keys = [mapping[k] for k in raw_keys]
-
+    dists = [
+        output_distribution(input_state, Permutation(image)).probabilities
+        for image in firsts
+    ]
+    tol = 0 if input_state.backend == "rational" else tolerance
+    # Slots are numbered by first appearance, so the classes are too.
     order: Dict[tuple, int] = {}
-    grouped: Dict[tuple, list] = {}
-    labels = []
-    for image, key in zip(images, raw_keys):
-        if key not in order:
-            order[key] = len(order)
-            grouped[key] = []
-        labels.append(order[key])
-        grouped[key].append(image)
+    class_of_slot = [
+        order.setdefault(key, len(order)) for key in _merge_distributions(dists, tol)
+    ]
+    grouped: list = [[] for _ in order]
+    for image, slot in zip(images, slots):
+        grouped[class_of_slot[slot]].append(image)
 
     classes = {
         key: ClassInfo(Permutation(members[0]), len(members), tuple(members))
-        for key, members in grouped.items()
+        for key, members in zip(order, grouped)
     }
     return ClassPartitionReport(
         mode=mode,
         shape=shape,
         backend=input_state.backend,
         classes=classes,
-        labels=tuple(labels) if mode == "exhaustive" else None,
+        labels=(
+            tuple(class_of_slot[s] for s in slots) if mode == "exhaustive" else None
+        ),
         tolerance=tolerance,
     )
 

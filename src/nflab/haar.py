@@ -70,11 +70,8 @@ def is_distinct(state: ResourceState, tolerance) -> bool:
 
     On the rational backend the tolerance must be 0 and the comparison exact.
     """
-    if state.backend == "rational":
-        if tolerance != 0:
-            raise ValidationError("rational backend demands tolerance = 0")
-        vals = sorted(state.squared_magnitudes)
-        return all(a != b for a, b in zip(vals, vals[1:]))
+    if state.backend == "rational" and tolerance != 0:
+        raise ValidationError("rational backend demands tolerance = 0")
     if tolerance < 0:
         raise ValidationError("tolerance must be non-negative")
     vals = sorted(state.squared_magnitudes)
@@ -99,10 +96,8 @@ def block_weight_table(state: ResourceState, shape: RegisterShape) -> BlockWeigh
     if len(state.squared_magnitudes) != shape.resource_dim:
         raise ShapeError("state dimension does not match shape.nq")
     copies = shape.copies
-    if state.backend == "rational":
-        values = tuple(q / copies for q in state.squared_magnitudes) + (Fraction(0),)
-    else:
-        values = tuple(q / copies for q in state.squared_magnitudes) + (0.0,)
+    zero = Fraction(0) if state.backend == "rational" else 0.0
+    values = tuple(q / copies for q in state.squared_magnitudes) + (zero,)
     caps = (copies,) * shape.resource_dim + (shape.zero_class_size,)
     return BlockWeightTable(values, caps, shape.bin_size)
 
@@ -154,11 +149,9 @@ def is_strongly_distinct_fast(
     weights = sorted(
         sum(m * v for m, v in zip(vec, table.values)) for vec in vectors
     )
-    if state.backend == "rational":
-        injective = all(a != b for a, b in zip(weights, weights[1:]))
-    else:
-        tol = FLOAT_ATOL if tolerance is None else tolerance
-        injective = all(b - a > tol for a, b in zip(weights, weights[1:]))
+    float_tol = FLOAT_ATOL if tolerance is None else tolerance
+    tol = 0 if state.backend == "rational" else float_tol
+    injective = all(b - a > tol for a, b in zip(weights, weights[1:]))
     return FastVerdict.YES if injective else FastVerdict.INCONCLUSIVE
 
 
@@ -210,8 +203,8 @@ def strong_distinct_oracle(
     """
     table = block_weight_table(state, shape)
     vectors = _feasible_vectors(table.caps, table.block_size, partition_cap)
-    exact = state.backend == "rational"
-    tol = 0 if exact else (FLOAT_ATOL if tolerance is None else tolerance)
+    float_tol = FLOAT_ATOL if tolerance is None else tolerance
+    tol = 0 if state.backend == "rational" else float_tol
 
     entries = []
     for partition in _partitions_into_blocks(
@@ -224,12 +217,9 @@ def strong_distinct_oracle(
 
     entries.sort(key=lambda e: e[0])
     for (sums_a, part_a), (sums_b, part_b) in zip(entries, entries[1:]):
-        if part_a == part_b:
-            continue
-        if exact:
-            if sums_a == sums_b:
-                return False
-        elif all(abs(a - b) <= tol for a, b in zip(sums_a, sums_b)):
+        if part_a != part_b and all(
+            abs(a - b) <= tol for a, b in zip(sums_a, sums_b)
+        ):
             return False
     return True
 

@@ -85,33 +85,23 @@ def nfl_compare(
 
     Both states must pass distinctness and the strong-distinctness oracle;
     otherwise a precondition-violation report is returned (not an exception),
-    citing the collapsed class count M < M*. Each state's classes are scanned
-    once per cost model, and every aggregator, primary and secondary (nx > 0),
+    citing the class counts M(A), M(B) and M*. Each state is partitioned once,
+    grouping distributions at ``tolerance``, and its classes are scanned once
+    per cost model, and every aggregator, primary and secondary (nx > 0),
     folds over those per-class minima.
     """
     m_star = count_classes(shape)
+    part_a = distribution_class_partition(state_a, shape, tolerance=tolerance)
+    part_b = distribution_class_partition(state_b, shape, tolerance=tolerance)
+    m_a, m_b = part_a.num_classes, part_b.num_classes
     violations = _predicate_violations("A", state_a, shape, tolerance)
     violations += _predicate_violations("B", state_b, shape, tolerance)
     if violations:
-        collapsed: Dict[str, int] = {}
-        for name, state in (("A", state_a), ("B", state_b)):
-            part = distribution_class_partition(state, shape)
-            collapsed[name] = part.num_classes
+        violations.append(f"M(A) = {m_a}, M(B) = {m_b}, M* = {m_star}")
         return NflReport(
-            shape=shape,
-            precondition_ok=False,
-            violations=tuple(
-                violations
-                + [f"M(A) = {collapsed['A']}, M(B) = {collapsed['B']}, M* = {m_star}"]
-            ),
-            m_star=m_star,
-            m_a=collapsed["A"],
-            m_b=collapsed["B"],
+            shape=shape, precondition_ok=False, violations=tuple(violations),
+            m_star=m_star, m_a=m_a, m_b=m_b,
         )
-
-    part_a = distribution_class_partition(state_a, shape)
-    part_b = distribution_class_partition(state_b, shape)
-    identical = part_a.labels == part_b.labels
 
     cost_pairs: Dict[Tuple[str, str], CostPair] = {}
     secondary_counts = None
@@ -133,9 +123,9 @@ def nfl_compare(
         precondition_ok=True,
         violations=(),
         m_star=m_star,
-        m_a=part_a.num_classes,
-        m_b=part_b.num_classes,
-        partitions_identical=identical,
+        m_a=m_a,
+        m_b=m_b,
+        partitions_identical=part_a.labels == part_b.labels,
         cost_pairs=cost_pairs,
         secondary_class_counts=secondary_counts,
         secondary_cost_pairs=secondary_pairs,

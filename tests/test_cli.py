@@ -82,6 +82,17 @@ class TestClassesCommand:
         assert code == 2
         assert "error" in json.loads(out)
 
+    def test_non_transitive_tolerance_is_a_guard(self, capsys):
+        # At 1e-3 this Haar state's distributions chain: some are within the
+        # tolerance of a common neighbour but not of each other.
+        code, out = run_cli(
+            capsys,
+            "classes", "--n0", "0", "--nplus", "0", "--nq", "3", "--ny", "1",
+            "--state", "haar", "--seed", "4", "--tolerance", "0.001",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
 
 class TestNflCommand:
     def test_two_haar_states_agree(self, capsys):

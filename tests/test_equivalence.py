@@ -1,14 +1,18 @@
 """Unit tests for multiplicative/distribution classes and class counting."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nflab import (
     Permutation,
     RegisterShape,
     ResourceLimitError,
+    ValidationError,
     bin_group_spec,
     collapse_witness,
     compose,
@@ -29,6 +33,7 @@ from nflab import (
     transposition,
     value_group_spec,
 )
+from nflab.equivalence import _merge_distributions
 
 S1 = RegisterShape(1, 1, 1, 1)
 FIXTURE = rational_state([Fraction(16, 25), Fraction(9, 25)])
@@ -145,6 +150,54 @@ class TestDistributionPartition:
         assert report.labels is None
         assert 1 < report.num_classes <= 9
 
+    @pytest.mark.parametrize(
+        "state, shape",
+        [
+            (FIXTURE, S1),
+            (rational_state([Fraction(1, 2), Fraction(1, 2)]), S1),
+            make_collision_state(),
+        ],
+        ids=["fixture", "uniform", "collision"],
+    )
+    def test_labels_match_exact_distribution_scan(self, state, shape):
+        # Oracle: group all N! permutations by their exact distribution,
+        # numbering classes by first appearance in lexicographic order.
+        inp = build_input_state(shape, state)
+        order = {}
+        labels = tuple(
+            order.setdefault(
+                output_distribution(inp, Permutation(image)).probabilities,
+                len(order),
+            )
+            for image in itertools.permutations(range(shape.N))
+        )
+        assert distribution_class_partition(state, shape).labels == labels
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([RegisterShape(0, 0, 2, 1), RegisterShape(1, 0, 1, 1)]),
+        st.lists(st.integers(min_value=0, max_value=25), min_size=4, max_size=4),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_rational_and_float_states_agree(self, shape, weights, seed):
+        weights = weights[: shape.resource_dim]
+        total = sum(weights)
+        assume(total > 0)
+        exact = rational_state([Fraction(w, total) for w in weights])
+        rounded = float_state([w / total for w in weights])
+        rep_r = distribution_class_partition(exact, shape)
+        rep_f = distribution_class_partition(rounded, shape)
+        assert rep_f.labels == rep_r.labels
+        sampled = [
+            distribution_class_partition(
+                state, shape, mode="sampled", samples=30, seed=seed
+            )
+            for state in (exact, rounded)
+        ]
+        assert [info.count for info in sampled[0].classes.values()] == [
+            info.count for info in sampled[1].classes.values()
+        ]
+
     def test_exhaustive_guard(self):
         big = RegisterShape(2, 1, 1, 1)
         with pytest.raises(ResourceLimitError):
@@ -179,3 +232,25 @@ class TestCollapseWitness:
         state, shape = make_collision_state()
         report = distribution_class_partition(state, shape)
         assert report.num_classes < count_classes(shape)
+
+
+class TestMergeDistributions:
+    def test_grouping_does_not_depend_on_order(self):
+        keys = [
+            (0.5, 0.3, 0.2),
+            (0.5 + 2e-12, 0.3, 0.2 - 2e-12),
+            (0.5 + 1e-12, 0.1, 0.4),
+        ]
+        for perm in itertools.permutations(keys):
+            merged = dict(zip(perm, _merge_distributions(list(perm), 1e-9)))
+            assert merged[keys[0]] == merged[keys[1]] == keys[0]
+            assert merged[keys[2]] == keys[2]
+
+    def test_non_transitive_chain_raises(self):
+        chain = [
+            (0.5, 0.5),
+            (0.5 + 0.6e-9, 0.5 - 0.6e-9),
+            (0.5 + 1.2e-9, 0.5 - 1.2e-9),
+        ]
+        with pytest.raises(ValidationError):
+            _merge_distributions(chain, 1e-9)

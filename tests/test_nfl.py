@@ -32,4 +32,6 @@ def test_strong_distinctness_uses_the_comparison_tolerance():
     )
     assert not report.precondition_ok
     assert "state A is not strongly distinct" in report.violations
+    # The cited class count is taken at the comparison's tolerance.
+    assert report.m_a < report.m_star
     assert not report.all_equal
