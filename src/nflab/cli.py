@@ -122,9 +122,11 @@ def cmd_haar(args) -> int:
             shape = None
         if shape is not None:
             entry["strongly_distinct_fast"] = is_strongly_distinct_fast(
-                state, shape
+                state, shape, args.tolerance
             ).value
-            entry["strongly_distinct_oracle"] = strong_distinct_oracle(state, shape)
+            entry["strongly_distinct_oracle"] = strong_distinct_oracle(
+                state, shape, args.tolerance
+            )
         results[method] = entry
         verdicts[method] = "distinct" if entry["distinct"] else "not distinct"
     report = {
@@ -304,6 +306,11 @@ def cmd_collapse(args) -> int:
         output_distribution(input_dis, s).probabilities,
     )
     same_class = same_multiplicative_class(p, s, shape)
+    verdicts = {
+        "degenerate_equal": dist_deg[0] == dist_deg[1],
+        "distinct_different": dist_dis[0] != dist_dis[1],
+        "classes_differ": not same_class,
+    }
     report = {
         "config": {
             "command": "collapse",
@@ -323,20 +330,11 @@ def cmd_collapse(args) -> int:
             "distinct_distributions": [list(d) for d in dist_dis],
             "same_multiplicative_class": same_class,
         },
-        "verdicts": {
-            "degenerate_equal": dist_deg[0] == dist_deg[1],
-            "distinct_different": dist_dis[0] != dist_dis[1],
-            "classes_differ": not same_class,
-        },
+        "verdicts": verdicts,
         "timings": None,
     }
     _emit(report, args.out)
-    ok = (
-        dist_deg[0] == dist_deg[1]
-        and dist_dis[0] != dist_dis[1]
-        and not same_class
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(verdicts.values()) else EXIT_CHECK_FAILED
 
 
 def cmd_scaling(args) -> int:
@@ -387,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_haar = sub.add_parser("haar", help="sample a resource state by both methods")
     add_shape_flags(p_haar, nq_default=2)
     p_haar.add_argument("--seed", type=int, default=0)
-    p_haar.add_argument("--tolerance", type=float, default=1e-12)
+    p_haar.add_argument(
+        "--tolerance", type=float, default=1e-12,
+        help="float values within this of each other count as equal in the "
+        "distinctness and both strong-distinctness checks (default 1e-12)",
+    )
     p_haar.add_argument("--out", default=None)
     p_haar.add_argument("--timings", action="store_true")
     p_haar.set_defaults(fn=cmd_haar)

@@ -345,7 +345,6 @@ class AggregateCostResult:
     aggregates: Dict[str, CostVector]  # by aggregator name
     per_class: Dict[tuple, CostVector]
     minimizers: Dict[tuple, Permutation]
-    exact: bool  # False when minima are best-of-sampled upper bounds
 
 
 def _fold(
@@ -361,47 +360,35 @@ def aggregate_cost(
     partition: ClassPartitionReport,
     cost_model: CostModel,
     aggregators: Sequence[Aggregator],
-    mode: str = "exhaustive",
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> AggregateCostResult:
-    """Per-class minimal single costs, folded by every aggregator.
+    """Exact per-class minimal single costs, folded by every aggregator.
 
-    Each class is scanned once and every aggregator folds over the same
-    minima. In exhaustive mode every class member is scanned; best_of_sampled
-    draws ``samples`` members per class and the minima are upper bounds only
-    (``exact=False``). Ties break to the lexicographically smallest member.
-    Aggregator names key the result, so they must be unique.
+    One lexicographic pass over S_N reads each permutation's class from the
+    partition's labels and keeps the cheapest permutation of every class, so
+    the partition must be exhaustive (ValidationError otherwise). Ties break
+    to the lexicographically smallest permutation. Every aggregator folds
+    over the same minima; aggregator names key the result, so they must be
+    unique.
     """
-    if mode not in ("exhaustive", "best_of_sampled"):
-        raise ValidationError(f"unknown aggregate mode {mode!r}")
-    if mode == "exhaustive" and partition.mode != "exhaustive":
-        raise ValidationError("exhaustive minimization needs an exhaustive partition")
-    rng = random.Random(seed)
-    per_class: Dict[tuple, CostVector] = {}
-    minimizers: Dict[tuple, Permutation] = {}
-    for key, info in partition.classes.items():
-        if not info.members:
-            raise RuntimeError("empty class in partition")
-        members = info.members
-        if mode == "best_of_sampled":
-            k = min(samples or 1, len(members))
-            members = tuple(sorted(rng.sample(members, k)))
-        best: Optional[CostVector] = None
-        best_image: Optional[tuple] = None
-        for image in members:  # lex order, so first strict min is the tiebreak
-            c = cost_model(Permutation(image))
-            if best is None or c < best:
-                best = c
-                best_image = image
-        per_class[key] = best
-        minimizers[key] = Permutation(best_image)
+    if partition.labels is None:
+        raise ValidationError("cost minimization needs an exhaustive partition")
+    best: List[Optional[CostVector]] = [None] * partition.num_classes
+    best_image: List[Optional[tuple]] = [None] * partition.num_classes
+    perms = itertools.permutations(range(partition.shape.N))
+    for image, label in zip(perms, partition.labels):
+        c = cost_model(Permutation(image))
+        if best[label] is None or c < best[label]:  # strict: first min wins
+            best[label] = c
+            best_image[label] = image
+    per_class = dict(zip(partition.classes, best))
+    minimizers = {
+        key: Permutation(image) for key, image in zip(partition.classes, best_image)
+    }
     minima = [per_class[k] for k in sorted(per_class)]
     return AggregateCostResult(
         aggregates=_fold(aggregators, minima),
         per_class=per_class,
         minimizers=minimizers,
-        exact=(mode == "exhaustive" and partition.mode == "exhaustive"),
     )
 
 
@@ -451,7 +438,6 @@ def tilde_cost(tp: TildePermutation, cost_model: CostModel) -> CostVector:
 class SecondaryCostResult:
     aggregates: Dict[str, CostVector]  # by aggregator name
     num_secondary_classes: int
-    exact: bool
 
 
 # Largest number of secondary classes whose minima are built one by one.
@@ -487,7 +473,6 @@ def aggregate_cost_samp_alg(
     return SecondaryCostResult(
         aggregates=_fold(aggregators, secondary_minima),
         num_secondary_classes=total,
-        exact=primary.exact,
     )
 
 

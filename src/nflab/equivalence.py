@@ -12,6 +12,7 @@ within a float tolerance) are merged into one class.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -175,6 +176,31 @@ def double_coset_oracle(
 # Class enumeration and counting
 
 
+def feasible_vectors(caps: Tuple[int, ...], total: int, cap_count: int) -> list:
+    """All vectors m with 0 <= m_c <= caps[c] and sum(m) = total, in
+    lexicographic order; ResourceLimitError past ``cap_count`` vectors."""
+    vectors: list = []
+
+    def rec(idx: int, remaining: int, prefix: tuple) -> None:
+        if idx == len(caps) - 1:
+            if remaining <= caps[idx]:
+                vectors.append(prefix + (remaining,))
+                if len(vectors) > cap_count:
+                    raise ResourceLimitError(
+                        f"feasible-vector count exceeds cap {cap_count}"
+                    )
+            return
+        lo = max(0, remaining - sum(caps[idx + 1 :]))
+        hi = min(caps[idx], remaining)
+        for m in range(lo, hi + 1):
+            rec(idx + 1, remaining - m, prefix + (m,))
+
+    if not caps:
+        raise ShapeError("empty cap vector")
+    rec(0, total, ())
+    return vectors
+
+
 def enumerate_class_keys(
     shape: RegisterShape, cap: int = DEFAULT_TABLE_CAP
 ) -> frozenset:
@@ -185,19 +211,6 @@ def enumerate_class_keys(
     rows = shape.num_bins
     tables: list = []
 
-    def row_choices(remaining_cols: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        def rec(idx: int, left: int, prefix: tuple):
-            if idx == len(remaining_cols) - 1:
-                if left <= remaining_cols[idx]:
-                    yield prefix + (left,)
-                return
-            lo = max(0, left - sum(remaining_cols[idx + 1 :]))
-            hi = min(remaining_cols[idx], left)
-            for m in range(lo, hi + 1):
-                yield from rec(idx + 1, left - m, prefix + (m,))
-
-        yield from rec(0, B, ())
-
     def rec_rows(row: int, remaining: Tuple[int, ...], acc: tuple):
         if row == rows - 1:
             if sum(remaining) != B:
@@ -206,7 +219,7 @@ def enumerate_class_keys(
             if len(tables) > cap:
                 raise ResourceLimitError(f"class enumeration exceeds cap {cap}")
             return
-        for choice in row_choices(remaining):
+        for choice in feasible_vectors(remaining, B, cap):
             rec_rows(
                 row + 1,
                 tuple(r - c for r, c in zip(remaining, choice)),
@@ -237,30 +250,42 @@ def stars_and_bars_count(n_tilde: int) -> int:
 
 @dataclass(frozen=True)
 class ClassInfo:
-    representative: Permutation
+    representative: Permutation  # the class's first permutation in scan order
     count: int
-    members: Tuple[tuple, ...]  # image tuples in lexicographic scan order
 
 
 @dataclass(frozen=True)
 class ClassPartitionReport:
     """Grouping of permutations by exact output distribution.
 
-    In exhaustive mode ``labels[r]`` is the class index of the permutation of
-    lexicographic rank r, with classes numbered by first appearance; equal
-    label arrays mean identical partitions of the full symmetric group.
+    ``classes`` maps each class's distribution to its ClassInfo, in order of
+    first appearance. An exhaustive partition also has ``labels``:
+    ``labels[r]`` is the index in ``classes`` of the class holding the
+    permutation of lexicographic rank r, so equal label arrays mean identical
+    partitions of the full symmetric group. A sampled partition has
+    ``labels = None``.
     """
 
-    mode: str
     shape: RegisterShape
-    backend: str
     classes: Dict[tuple, ClassInfo]
     labels: Optional[tuple]
-    tolerance: float
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+
+def pairs_within(values: Sequence[tuple], tol) -> Iterator[Tuple[int, int]]:
+    """Index pairs i < j of the lexicographically sorted ``values`` whose
+    entries all differ by at most ``tol``, over every pair, not only
+    neighbours in the sorted order."""
+    for i, a in enumerate(values):
+        for j in range(i + 1, len(values)):
+            b = values[j]
+            if b[0] - a[0] > tol:
+                break  # sorted by first entry: no later value is within tol
+            if all(abs(x - y) <= tol for x, y in zip(a, b)):
+                yield i, j
 
 
 def _merge_distributions(dists: Sequence[tuple], tol) -> List[tuple]:
@@ -274,13 +299,9 @@ def _merge_distributions(dists: Sequence[tuple], tol) -> List[tuple]:
     """
     values = sorted(set(dists))
     near = [{i} for i in range(len(values))]  # indices within tol of each value
-    for i, a in enumerate(values):
-        for j in range(i + 1, len(values)):
-            if values[j][0] - a[0] > tol:
-                break  # sorted by first entry: no later value is within tol
-            if all(abs(x - y) <= tol for x, y in zip(a, values[j])):
-                near[i].add(j)
-                near[j].add(i)
+    for i, j in pairs_within(values, tol):
+        near[i].add(j)
+        near[j].add(i)
     for i, group in enumerate(near):
         if any(near[k] != group for k in group):
             raise ValidationError(
@@ -302,8 +323,9 @@ def distribution_class_partition(
     """Group permutations by the output distribution they prepare.
 
     Exhaustive mode scans all N! permutations in lexicographic order (guarded
-    at N <= 8); sampled mode draws ``samples`` uniform permutations from the
-    stated seed. Each permutation is keyed by its multiplicity matrix, which
+    at N <= 8) and records each one's class in ``labels``; sampled mode draws
+    ``samples`` uniform permutations from the stated seed and keeps only the
+    class sizes. Each permutation is keyed by its multiplicity matrix, which
     fixes its distribution; one distribution is computed per distinct key,
     exactly on rational states and by correctly rounded sums on float states.
     Keys whose distributions are pairwise within ``tolerance`` (0 on rational
@@ -335,13 +357,11 @@ def distribution_class_partition(
     key_of = _key_function(shape)
     slot_of: Dict[tuple, int] = {}
     firsts: list = []  # the first image of each key, in order of appearance
-    images: list = []
     slots: list = []
     for image in perms:
         slot = slot_of.setdefault(key_of(image), len(slot_of))
         if slot == len(firsts):
             firsts.append(image)
-        images.append(image)
         slots.append(slot)
 
     dists = [
@@ -349,28 +369,25 @@ def distribution_class_partition(
         for image in firsts
     ]
     tol = 0 if input_state.backend == "rational" else tolerance
-    # Slots are numbered by first appearance, so the classes are too.
+    # Slots are numbered by first appearance, so the classes are too, and a
+    # class's first slot holds its first permutation.
     order: Dict[tuple, int] = {}
     class_of_slot = [
         order.setdefault(key, len(order)) for key in _merge_distributions(dists, tol)
     ]
-    grouped: list = [[] for _ in order]
-    for image, slot in zip(images, slots):
-        grouped[class_of_slot[slot]].append(image)
-
+    firsts_of_class: Dict[int, tuple] = {}
+    for label, image in zip(class_of_slot, firsts):
+        firsts_of_class.setdefault(label, image)
+    labels = tuple(class_of_slot[s] for s in slots)
+    counts = collections.Counter(labels)
     classes = {
-        key: ClassInfo(Permutation(members[0]), len(members), tuple(members))
-        for key, members in zip(order, grouped)
+        key: ClassInfo(Permutation(firsts_of_class[label]), counts[label])
+        for key, label in order.items()
     }
     return ClassPartitionReport(
-        mode=mode,
         shape=shape,
-        backend=input_state.backend,
         classes=classes,
-        labels=(
-            tuple(class_of_slot[s] for s in slots) if mode == "exhaustive" else None
-        ),
-        tolerance=tolerance,
+        labels=labels if mode == "exhaustive" else None,
     )
 
 

@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .core import FLOAT_ATOL, RegisterShape, ResourceState, float_state, rational_state
+from .equivalence import feasible_vectors, pairs_within
 from .errors import ResourceLimitError, ShapeError, ValidationError
 
 MAX_NQ = 12
@@ -102,30 +103,6 @@ def block_weight_table(state: ResourceState, shape: RegisterShape) -> BlockWeigh
     return BlockWeightTable(values, caps, shape.bin_size)
 
 
-def _feasible_vectors(caps: Tuple[int, ...], total: int, cap_count: int) -> list:
-    """All multiplicity vectors m with 0 <= m_c <= caps[c] and sum(m) = total."""
-    vectors: list = []
-
-    def rec(idx: int, remaining: int, prefix: tuple) -> None:
-        if idx == len(caps) - 1:
-            if remaining <= caps[idx]:
-                vectors.append(prefix + (remaining,))
-                if len(vectors) > cap_count:
-                    raise ResourceLimitError(
-                        f"feasible-vector count exceeds cap {cap_count}"
-                    )
-            return
-        lo = max(0, remaining - sum(caps[idx + 1 :]))
-        hi = min(caps[idx], remaining)
-        for m in range(lo, hi + 1):
-            rec(idx + 1, remaining - m, prefix + (m,))
-
-    if not caps:
-        raise ShapeError("empty cap vector")
-    rec(0, total, ())
-    return vectors
-
-
 class FastVerdict(enum.Enum):
     YES = "yes"
     INCONCLUSIVE = "inconclusive"
@@ -145,7 +122,7 @@ def is_strongly_distinct_fast(
     inconclusive: the definitional oracle stays authoritative.
     """
     table = block_weight_table(state, shape)
-    vectors = _feasible_vectors(table.caps, table.block_size, vector_cap)
+    vectors = feasible_vectors(table.caps, table.block_size, vector_cap)
     weights = sorted(
         sum(m * v for m, v in zip(vec, table.values)) for vec in vectors
     )
@@ -199,29 +176,23 @@ def strong_distinct_oracle(
 
     Enumerates every partition of the input-state value multiset into 2^ny
     blocks of size B (as multisets of multiplicity vectors) and returns True
-    iff no two distinct partitions yield the same multiset of block sums.
+    iff no two distinct partitions yield the same multiset of block sums,
+    comparing every pair entrywise within the tolerance (0 on rational states).
     """
     table = block_weight_table(state, shape)
-    vectors = _feasible_vectors(table.caps, table.block_size, partition_cap)
+    vectors = feasible_vectors(table.caps, table.block_size, partition_cap)
     float_tol = FLOAT_ATOL if tolerance is None else tolerance
     tol = 0 if state.backend == "rational" else float_tol
 
-    entries = []
-    for partition in _partitions_into_blocks(
-        vectors, table.caps, shape.num_bins, partition_cap
-    ):
-        sums = tuple(
-            sorted(sum(m * v for m, v in zip(vec, table.values)) for vec in partition)
+    # Partitions are enumerated once each, so two that share a block-sum
+    # multiset (within tol) are always two different partitions.
+    block_sums = sorted(
+        tuple(sorted(sum(m * v for m, v in zip(vec, table.values)) for vec in partition))
+        for partition in _partitions_into_blocks(
+            vectors, table.caps, shape.num_bins, partition_cap
         )
-        entries.append((sums, partition))
-
-    entries.sort(key=lambda e: e[0])
-    for (sums_a, part_a), (sums_b, part_b) in zip(entries, entries[1:]):
-        if part_a != part_b and all(
-            abs(a - b) <= tol for a, b in zip(sums_a, sums_b)
-        ):
-            return False
-    return True
+    )
+    return next(pairs_within(block_sums, tol), None) is None
 
 
 def make_collision_state() -> Tuple[ResourceState, RegisterShape]:

@@ -86,9 +86,9 @@ def nfl_compare(
     Both states must pass distinctness and the strong-distinctness oracle;
     otherwise a precondition-violation report is returned (not an exception),
     citing the class counts M(A), M(B) and M*. Each state is partitioned once,
-    grouping distributions at ``tolerance``, and its classes are scanned once
-    per cost model, and every aggregator, primary and secondary (nx > 0),
-    folds over those per-class minima.
+    grouping distributions at ``tolerance``; each (partition, cost model)
+    pair takes one pass over S_N for its per-class minima, and every
+    aggregator, primary and secondary (nx > 0), folds over those minima.
     """
     m_star = count_classes(shape)
     part_a = distribution_class_partition(state_a, shape, tolerance=tolerance)

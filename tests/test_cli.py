@@ -34,6 +34,14 @@ class TestHaarCommand:
         _, second = run_cli(capsys, "haar", "--nq", "2", "--seed", "3")
         assert first == second
 
+    def test_tolerance_reaches_strong_distinctness_checks(self, capsys):
+        code, out = run_cli(capsys, "haar", "--nq", "2", "--seed", "0", "--tolerance", "0.2")
+        assert code == 0
+        for entry in json.loads(out)["results"].values():
+            assert entry["distinct"] is False
+            assert entry["strongly_distinct_fast"] == "inconclusive"
+            assert entry["strongly_distinct_oracle"] is False
+
     def test_size_guard_exit_code(self, capsys):
         code, out = run_cli(capsys, "haar", "--nq", "13")
         assert code == 2
@@ -76,6 +84,30 @@ class TestClassesCommand:
         assert rows[0] == ["class_index", "distribution", "member_count"]
         assert len(rows) == 10  # header + 9 classes
         assert sum(int(r[2]) for r in rows[1:]) == 40320
+
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "ce5b139271d242e9dfdc8f86c27c6f7fe02d572c6cde432ed9f5e0737d054d29"),
+        (
+            ("--state", "collision", "--n0", "0", "--nplus", "0", "--nq", "3", "--ny", "1"),
+            "2b311cb796f1dfad246874d2deffcdd8602d8c6ff69d7432a50f6999a3f3f82a",
+        ),
+        (
+            ("--state", "haar", "--seed", "7", "--nq", "2", "--mode", "sampled",
+             "--samples", "4000"),
+            "7ee8a0eb7c936e704f88ed7f404bc780939fe128a224f768ac19c68f786ff336",
+        ),
+    ])
+    def test_reports_are_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "classes", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_csv_export_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "classes.csv"
+        code, _ = run_cli(capsys, "classes", "--csv", str(path))
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "3cb53b03118de14d485b6fe2eb90410cc87c75f5805985892592ea973d1c8508"
 
     def test_invalid_shape_exit_code(self, capsys):
         code, out = run_cli(capsys, "classes", "--ny", "0")

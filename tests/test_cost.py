@@ -167,7 +167,6 @@ class TestAggregateCost:
         minima = sorted(v.values[0] for v in result.per_class.values())
         assert minima == [0, 1, 1, 2, 2, 2, 3, 3, 4]
         assert result.aggregates["average"].values == (2.0,)
-        assert result.exact
 
     def test_aggregator_names_must_be_unique(self):
         partition = distribution_class_partition(FIXTURE, S1)
@@ -176,20 +175,29 @@ class TestAggregateCost:
             aggregate_cost(partition, TRANSPOSITION_MODEL, budgets)
 
     def test_minimizers_are_members_with_minimal_cost(self):
+        # Oracle: group all N! permutations by their exact distribution and
+        # take each group's minimum cost and its lexicographically first
+        # minimizer, independently of the partition's labels.
+        inp = build_input_state(S1, FIXTURE)
+        perms = [Permutation(image) for image in itertools.permutations(range(S1.N))]
+        keys = [output_distribution(inp, p).probabilities for p in perms]
         partition = distribution_class_partition(FIXTURE, S1)
-        result = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
-        for key, p in result.minimizers.items():
-            assert TRANSPOSITION_MODEL(p) == result.per_class[key]
+        for model in (TRANSPOSITION_MODEL, make_gate_count_model(S1.n)):
+            group_minima = {}
+            for key, p in zip(keys, perms):
+                cost = model(p)
+                if key not in group_minima or cost < group_minima[key][0]:
+                    group_minima[key] = (cost, p)
+            result = aggregate_cost(partition, model, [Aggregator("max")])
+            assert result.per_class == {k: c for k, (c, _) in group_minima.items()}
+            assert result.minimizers == {k: p for k, (_, p) in group_minima.items()}
 
-    def test_sampled_mode_upper_bounds_exact(self):
-        partition = distribution_class_partition(FIXTURE, S1)
-        exact = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
-        approx = aggregate_cost(
-            partition, TRANSPOSITION_MODEL, [Aggregator("max")],
-            mode="best_of_sampled", samples=50, seed=1,
+    def test_sampled_partition_is_rejected(self):
+        partition = distribution_class_partition(
+            FIXTURE, S1, mode="sampled", samples=50, seed=1
         )
-        assert not approx.exact
-        assert exact.aggregates["max"] <= approx.aggregates["max"]
+        with pytest.raises(ValidationError):
+            aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
 
 
 class TestSecondaryCost:
@@ -233,7 +241,6 @@ class TestSecondaryCost:
         primary = aggregate_cost(partition, model, aggregators)
         res = aggregate_cost_samp_alg(primary, 1, aggregators)
         assert res.num_secondary_classes == len(group_minima) == 36
-        assert res.exact
         assert res.aggregates == {agg.name: agg(minima) for agg in aggregators}
         # A budget that every class or no class meets would check nothing.
         assert 0 < -res.aggregates["budget"].values[0] < 36

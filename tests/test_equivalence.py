@@ -129,14 +129,6 @@ class TestDistributionPartition:
         report = distribution_class_partition(uniform, S1)
         assert report.num_classes < 9
 
-    def test_members_share_distribution(self):
-        report = distribution_class_partition(FIXTURE, S1)
-        inp = build_input_state(S1, FIXTURE)
-        for info in report.classes.values():
-            rep_dist = output_distribution(inp, info.representative)
-            for image in info.members[:3]:
-                assert output_distribution(inp, Permutation(image)) == rep_dist
-
     def test_float_backend_matches_rational(self):
         rep_r = distribution_class_partition(FIXTURE, S1)
         rep_f = distribution_class_partition(float_state([0.64, 0.36]), S1)
@@ -162,16 +154,27 @@ class TestDistributionPartition:
     def test_labels_match_exact_distribution_scan(self, state, shape):
         # Oracle: group all N! permutations by their exact distribution,
         # numbering classes by first appearance in lexicographic order.
+        # Each class is keyed by its distribution, its representative is its
+        # first permutation and its count is its number of permutations.
         inp = build_input_state(shape, state)
+        images = list(itertools.permutations(range(shape.N)))
         order = {}
         labels = tuple(
             order.setdefault(
                 output_distribution(inp, Permutation(image)).probabilities,
                 len(order),
             )
-            for image in itertools.permutations(range(shape.N))
+            for image in images
         )
-        assert distribution_class_partition(state, shape).labels == labels
+        firsts = {}
+        for image, label in zip(images, labels):
+            firsts.setdefault(label, image)
+        report = distribution_class_partition(state, shape)
+        assert report.labels == labels
+        assert list(report.classes) == list(order)
+        infos = list(report.classes.values())
+        assert [info.representative.image for info in infos] == [firsts[c] for c in order.values()]
+        assert [info.count for info in infos] == [labels.count(c) for c in order.values()]
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,6 +1,8 @@
 """Unit tests for Haar sampling and (strong) distinctness checks."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -97,3 +99,38 @@ class TestStrongDistinct:
     def test_uniform_state_fails_oracle(self):
         uniform = rational_state([Fraction(1, 2), Fraction(1, 2)])
         assert not strong_distinct_oracle(uniform, S1)
+
+    def test_oracle_compares_pairs_that_sort_apart(self):
+        # Each state has two pairings of its 8 values into 4 blocks whose
+        # block sums are all within 2e-3, yet sort far apart, so comparing
+        # only sorted neighbours misses them.
+        shape = RegisterShape(0, 0, 3, 2)
+        rng = random.Random(1)
+        draws = []
+        for _ in range(59):
+            weights = [rng.random() for _ in range(8)]
+            draws.append([w / sum(weights) for w in weights])
+        for k in (29, 54, 58):
+            state = float_state(draws[k])
+            q = state.squared_magnitudes
+            # Brute force over all 105 pairings of the eight values.
+            sums = {
+                tuple(sorted(q[a] + q[b] for a, b in pairing))
+                for pairing in _pairings(range(8))
+            }
+            assert any(
+                s != t and all(abs(x - y) <= 2e-3 for x, y in zip(s, t))
+                for s, t in itertools.combinations(sums, 2)
+            )
+            assert not strong_distinct_oracle(state, shape, tolerance=2e-3)
+
+
+def _pairings(items):
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
+            yield ((first, partner),) + tail
