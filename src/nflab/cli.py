@@ -107,6 +107,7 @@ def _resolve_state(args, shape: RegisterShape) -> ResourceState:
 def cmd_haar(args) -> int:
     results = {}
     verdicts = {}
+    t0 = time.perf_counter()
     for method, sampler in (("qr", sample_haar_qr), ("rayleigh", sample_haar_rayleigh)):
         state = sampler(args.nq, args.seed)
         entry = {
@@ -129,6 +130,7 @@ def cmd_haar(args) -> int:
             )
         results[method] = entry
         verdicts[method] = "distinct" if entry["distinct"] else "not distinct"
+    elapsed = time.perf_counter() - t0
     report = {
         "config": {
             "command": "haar",
@@ -141,7 +143,7 @@ def cmd_haar(args) -> int:
         },
         "results": results,
         "verdicts": verdicts,
-        "timings": None,
+        "timings": {"check_seconds": elapsed} if args.timings else None,
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -241,6 +243,7 @@ def cmd_nfl(args) -> int:
     state_a = sample_haar_qr(shape.nq, args.seed)
     models = _cost_models_from_args(args, shape)
     aggregators = _aggregators_from_args(args)
+    t0 = time.perf_counter()
     report_obj = nfl_compare(
         state_a,
         state_b,
@@ -250,6 +253,7 @@ def cmd_nfl(args) -> int:
         nx=args.nx,
         tolerance=args.tolerance,
     )
+    elapsed = time.perf_counter() - t0
     results = {
         "M_star": report_obj.m_star,
         "M_a": report_obj.m_a,
@@ -282,7 +286,7 @@ def cmd_nfl(args) -> int:
             "violations": list(report_obj.violations),
             "equal_costs": report_obj.all_equal,
         },
-        "timings": None,
+        "timings": {"compare_seconds": elapsed} if args.timings else None,
     }
     _emit(report, args.out)
     if not report_obj.precondition_ok:
@@ -294,6 +298,7 @@ def cmd_collapse(args) -> int:
     shape = _shape_from_args(args)
     degenerate = rational_state([Fraction(v) for v in args.degenerate.split(",")])
     distinct_state = rational_state([Fraction(v) for v in args.distinct.split(",")])
+    t0 = time.perf_counter()
     p, s = collapse_witness(shape, args.istar, args.jstar)
     input_deg = build_input_state(shape, degenerate)
     input_dis = build_input_state(shape, distinct_state)
@@ -306,6 +311,7 @@ def cmd_collapse(args) -> int:
         output_distribution(input_dis, s).probabilities,
     )
     same_class = same_multiplicative_class(p, s, shape)
+    elapsed = time.perf_counter() - t0
     verdicts = {
         "degenerate_equal": dist_deg[0] == dist_deg[1],
         "distinct_different": dist_dis[0] != dist_dis[1],
@@ -331,7 +337,7 @@ def cmd_collapse(args) -> int:
             "same_multiplicative_class": same_class,
         },
         "verdicts": verdicts,
-        "timings": None,
+        "timings": {"witness_seconds": elapsed} if args.timings else None,
     }
     _emit(report, args.out)
     return EXIT_OK if all(verdicts.values()) else EXIT_CHECK_FAILED

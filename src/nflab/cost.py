@@ -118,18 +118,26 @@ class Aggregator:
 
 
 def cycles(p: Permutation) -> List[List[int]]:
-    seen = [False] * p.size
+    """The cycles of p, fixed points included, each listed in walk order.
+
+    Invariant: each cycle starts at its least point, and the cycles come in
+    increasing order of that point (a new cycle starts at each point not yet
+    seen, scanning upward), so transposition_sequence and the gate model
+    factor every cycle from its least point.
+    """
+    image = p.image
+    seen = [False] * len(image)
     out: List[List[int]] = []
-    for start in range(p.size):
+    for start in range(len(image)):
         if seen[start]:
             continue
         cyc = [start]
         seen[start] = True
-        k = p(start)
+        k = image[start]
         while k != start:
             cyc.append(k)
             seen[k] = True
-            k = p(k)
+            k = image[k]
         out.append(cyc)
     return out
 
@@ -308,17 +316,21 @@ def compile_permutation(p: Permutation, n: int) -> GateList:
 
 
 def make_gate_count_model(n: int) -> "CostModel":
-    """Gate-count cost with per-transposition memoization (counts are additive
-    over the compiled transposition factors)."""
-    cache: Dict[Tuple[int, int], int] = {}
+    """Gate-count cost: the compiled gate counts of the factors (a, b) of
+    transposition_sequence, summed, each factor's count computed once and
+    cached. The model walks cycles(p) itself, so a is a cycle's least point
+    and a < b in every factor."""
+    weights: Dict[Tuple[int, int], int] = {}
 
     def fn(p: Permutation) -> CostVector:
         total = 0
-        for a, b in transposition_sequence(p):
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                cache[key] = len(_transposition_gates(key[0], key[1], n))
-            total += cache[key]
+        for cyc in cycles(p):
+            a = cyc[0]
+            for b in cyc[1:]:
+                w = weights.get((a, b))
+                if w is None:
+                    w = weights[a, b] = len(_transposition_gates(a, b, n))
+                total += w
         return scalar_cost("gates", total)
 
     return CostModel("gates", fn)
@@ -357,39 +369,49 @@ def _fold(
 
 
 def aggregate_cost(
-    partition: ClassPartitionReport,
+    partitions: Sequence[ClassPartitionReport],
     cost_model: CostModel,
     aggregators: Sequence[Aggregator],
-) -> AggregateCostResult:
-    """Exact per-class minimal single costs, folded by every aggregator.
+) -> List[AggregateCostResult]:
+    """Exact per-class minimal single costs of each partition, folded by
+    every aggregator; one result per partition, in order.
 
-    One lexicographic pass over S_N reads each permutation's class from the
-    partition's labels and keeps the cheapest permutation of every class, so
-    the partition must be exhaustive (ValidationError otherwise). Ties break
-    to the lexicographically smallest permutation. Every aggregator folds
-    over the same minima; aggregator names key the result, so they must be
-    unique.
+    A permutation's cost does not depend on the state, so one lexicographic
+    pass over S_N evaluates ``cost_model`` once per permutation and, for every
+    partition, reads the permutation's class from that partition's labels and
+    keeps the cheapest permutation of every class. The partitions must be
+    exhaustive and share one shape (ValidationError otherwise, and for an
+    empty sequence). Ties break to the lexicographically smallest
+    permutation. Every aggregator folds over the same minima; aggregator
+    names key the result, so they must be unique.
     """
-    if partition.labels is None:
+    if not partitions:
+        raise ValidationError("cost minimization needs at least one partition")
+    shape = partitions[0].shape
+    if any(part.shape != shape for part in partitions):
+        raise ValidationError("cost minimization needs partitions of one shape")
+    if any(part.labels is None for part in partitions):
         raise ValidationError("cost minimization needs an exhaustive partition")
-    best: List[Optional[CostVector]] = [None] * partition.num_classes
-    best_image: List[Optional[tuple]] = [None] * partition.num_classes
-    perms = itertools.permutations(range(partition.shape.N))
-    for image, label in zip(perms, partition.labels):
+    best = [[None] * part.num_classes for part in partitions]
+    best_image = [[None] * part.num_classes for part in partitions]
+    perms = itertools.permutations(range(shape.N))
+    for image, *labels in zip(perms, *(part.labels for part in partitions)):
         c = cost_model(Permutation(image))
-        if best[label] is None or c < best[label]:  # strict: first min wins
-            best[label] = c
-            best_image[label] = image
-    per_class = dict(zip(partition.classes, best))
-    minimizers = {
-        key: Permutation(image) for key, image in zip(partition.classes, best_image)
-    }
-    minima = [per_class[k] for k in sorted(per_class)]
-    return AggregateCostResult(
-        aggregates=_fold(aggregators, minima),
-        per_class=per_class,
-        minimizers=minimizers,
-    )
+        for b, b_image, label in zip(best, best_image, labels):
+            if b[label] is None or c < b[label]:  # strict: first min wins
+                b[label] = c
+                b_image[label] = image
+    results = []
+    for part, b, b_image in zip(partitions, best, best_image):
+        per_class = dict(zip(part.classes, b))
+        minimizers = {key: Permutation(image) for key, image in zip(part.classes, b_image)}
+        minima = [per_class[k] for k in sorted(per_class)]
+        results.append(AggregateCostResult(
+            aggregates=_fold(aggregators, minima),
+            per_class=per_class,
+            minimizers=minimizers,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,10 @@ def nfl_compare(
     Both states must pass distinctness and the strong-distinctness oracle;
     otherwise a precondition-violation report is returned (not an exception),
     citing the class counts M(A), M(B) and M*. Each state is partitioned once,
-    grouping distributions at ``tolerance``; each (partition, cost model)
-    pair takes one pass over S_N for its per-class minima, and every
-    aggregator, primary and secondary (nx > 0), folds over those minima.
+    grouping distributions at ``tolerance``. Each cost model takes one S_N
+    pass for both partitions: every permutation's cost is evaluated once and
+    updates the per-class minima of both states. Every aggregator, primary
+    and secondary (nx > 0), folds over those minima.
     """
     m_star = count_classes(shape)
     part_a = distribution_class_partition(state_a, shape, tolerance=tolerance)
@@ -107,8 +108,7 @@ def nfl_compare(
     secondary_counts = None
     secondary_pairs = {} if nx is not None and nx > 0 else None
     for model in cost_models:
-        ra = aggregate_cost(part_a, model, aggregators)
-        rb = aggregate_cost(part_b, model, aggregators)
+        ra, rb = aggregate_cost((part_a, part_b), model, aggregators)
         for name, cost in ra.aggregates.items():
             cost_pairs[(model.name, name)] = CostPair(cost, rb.aggregates[name])
         if secondary_pairs is not None:

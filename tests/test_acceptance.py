@@ -134,8 +134,7 @@ def test_accept_04_identical_partitions_and_costs():
     avg_value = None
     detail = []
     for model in models:
-        res_a = aggregate_cost(part_a, model, aggregators)
-        res_b = aggregate_cost(part_b, model, aggregators)
+        res_a, res_b = aggregate_cost((part_a, part_b), model, aggregators)
         ok = ok and res_a.aggregates == res_b.aggregates
         for agg in aggregators:
             detail.append(f"{model.name}/{agg.kind}={res_a.aggregates[agg.name].values[0]}")
@@ -150,12 +149,8 @@ def test_accept_05_secondary_costs():
     part_a = distribution_class_partition(sample_haar_qr(1, seed=1), S1)
     part_b = distribution_class_partition(sample_haar_qr(1, seed=2), S1)
     aggregators = (Aggregator("average"), Aggregator("max"))
-    res_a = aggregate_cost_samp_alg(
-        aggregate_cost(part_a, TRANSPOSITION_MODEL, aggregators), 1, aggregators
-    )
-    res_b = aggregate_cost_samp_alg(
-        aggregate_cost(part_b, TRANSPOSITION_MODEL, aggregators), 1, aggregators
-    )
+    primary = aggregate_cost((part_a, part_b), TRANSPOSITION_MODEL, aggregators)
+    res_a, res_b = (aggregate_cost_samp_alg(r, 1, aggregators) for r in primary)
     ok = res_a.num_secondary_classes == 81 == res_b.num_secondary_classes
     ok = ok and res_a.aggregates == res_b.aggregates
     results = {name: cost.values[0] for name, cost in res_a.aggregates.items()}

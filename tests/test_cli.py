@@ -173,10 +173,22 @@ class TestNflCommand:
     @pytest.mark.parametrize("argv, digest", [
         ((), "d242faf8dd37fc96de5ab8962e48439586ef177a792fe69c1386330487fe596f"),
         (("--nx", "1"), "e99ddae4dd606e5a0d359d3ab66ecd26f81476bac2bee8b5a233139bb2d6b72d"),
+        (("--n0", "0", "--nplus", "0", "--nq", "3", "--ny", "1"),
+         "3ad657b201b152d3ff98a728c1063263a5a10045d11cdccb79d1503537648944"),
+        (("--n0", "0", "--nplus", "0", "--nq", "3", "--ny", "1", "--nx", "1", "--cost", "gates"),
+         "2333667e51326b1cb83025872ae1191855231c455b856173647e0e3c47fc4093"),
+        (("--n0", "0", "--nplus", "1", "--nq", "2", "--ny", "1", "--seed", "3", "--seed2", "4"),
+         "59c87dda15e05b455cf6cb986dc2164565e4f57c3cee8a5b9945b04ccd87c656"),
     ])
     def test_default_shape_reports_are_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, "nfl", *argv)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_precondition_report_is_pinned(self, capsys):
+        code, out = run_cli(capsys, "nfl", "--uniform-b")
+        assert code == 2
+        digest = "d703037bbb1d859cb8460bb46eb0065d3f6787e23cd92912f126747f762d27e0"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_secondary_mismatch_fails_the_check(self, capsys, monkeypatch):
@@ -260,6 +272,25 @@ class TestScalingCommand:
         code, out = run_cli(capsys, "scaling", "--max-ntilde", "9")
         assert code == 2
         assert "error" in json.loads(out)
+
+
+class TestTimings:
+    @pytest.mark.parametrize("argv, key", [
+        (("haar", "--nq", "2", "--seed", "7"), "check_seconds"),
+        (("nfl", "--n0", "0", "--nplus", "0", "--nq", "2", "--ny", "1"), "compare_seconds"),
+        (("collapse",), "witness_seconds"),
+    ])
+    def test_timings_fill_one_elapsed_entry(self, capsys, argv, key):
+        code, plain = run_cli(capsys, *argv)
+        timed_code, timed = run_cli(capsys, *argv, "--timings")
+        assert code == timed_code == 0
+        plain, timed = json.loads(plain), json.loads(timed)
+        assert plain["timings"] is None
+        assert list(timed["timings"]) == [key]
+        value = timed["timings"][key]
+        assert isinstance(value, float) and value >= 0.0
+        for part in ("config", "results", "verdicts"):
+            assert timed[part] == plain[part]
 
 
 class TestParser:

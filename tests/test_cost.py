@@ -43,6 +43,7 @@ from nflab import (
     transposition_sequence,
 )
 from nflab.core import OutcomeDistribution
+from nflab.cost import cycles
 
 S1 = RegisterShape(1, 1, 1, 1)
 FIXTURE = rational_state([Fraction(16, 25), Fraction(9, 25)])
@@ -92,6 +93,47 @@ class TestTranspositionCost:
         assert len(transposition_sequence(p)) == transposition_count_cost(p).values[0]
 
 
+def _orbit_count(image):
+    """Number of orbits of a permutation, found with sets of visited points."""
+    unvisited = set(range(len(image)))
+    count = 0
+    while unvisited:
+        orbit = {unvisited.pop()}
+        frontier = set(orbit)
+        while frontier:
+            frontier = {image[k] for k in frontier} - orbit
+            orbit |= frontier
+        unvisited -= orbit
+        count += 1
+    return count
+
+
+class TestCycleWalk:
+    # References over all of S_8 (and S_4 for the two-bit compiler) for the
+    # walk that the cost models and the compiler share.
+    def test_cycles_partition_points_and_start_at_least_point(self):
+        for image in itertools.permutations(range(8)):
+            cs = cycles(Permutation(image))
+            assert sorted(k for cyc in cs for k in cyc) == list(range(8))
+            assert all(cyc[0] == min(cyc) for cyc in cs)
+            starts = [cyc[0] for cyc in cs]
+            assert starts == sorted(set(starts))
+            for cyc in cs:
+                assert [image[k] for k in cyc] == cyc[1:] + cyc[:1]
+
+    def test_transposition_cost_is_n_minus_orbit_count(self):
+        for image in itertools.permutations(range(8)):
+            p = Permutation(image)
+            assert transposition_count_cost(p).values == (8 - _orbit_count(image),)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gate_model_counts_compiled_gates(self, n):
+        model = make_gate_count_model(n)
+        for image in itertools.permutations(range(2 ** n)):
+            p = Permutation(image)
+            assert model(p).values[0] == len(compile_permutation(p, n).gates)
+
+
 class TestAggregator:
     def test_average(self):
         agg = Aggregator("average")
@@ -136,11 +178,11 @@ class TestCompiler:
             assert all(tok.isdigit() for tok in op[1:])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_compiled_circuit_realizes_permutation(self, n):
-        rng = random.Random(n)
-        for _ in range(6):
-            p = random_permutation(2 ** n, rng)
-            assert compile_permutation(p, n).simulate().image == p.image
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_compiled_circuit_realizes_permutation(self, n, seed):
+        p = random_permutation(2 ** n, random.Random(seed))
+        assert compile_permutation(p, n).simulate().image == p.image
 
     def test_gate_count_grows_linearly(self):
         # One transposition costs O(n) gates: check the per-n worst case
@@ -163,7 +205,7 @@ class TestCompiler:
 class TestAggregateCost:
     def test_per_class_minima_at_s1(self):
         partition = distribution_class_partition(FIXTURE, S1)
-        result = aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("average")])
+        [result] = aggregate_cost([partition], TRANSPOSITION_MODEL, [Aggregator("average")])
         minima = sorted(v.values[0] for v in result.per_class.values())
         assert minima == [0, 1, 1, 2, 2, 2, 3, 3, 4]
         assert result.aggregates["average"].values == (2.0,)
@@ -172,32 +214,45 @@ class TestAggregateCost:
         partition = distribution_class_partition(FIXTURE, S1)
         budgets = [Aggregator("budget", (1.0,)), Aggregator("budget", (3.0,))]
         with pytest.raises(ValidationError):
-            aggregate_cost(partition, TRANSPOSITION_MODEL, budgets)
+            aggregate_cost([partition], TRANSPOSITION_MODEL, budgets)
 
     def test_minimizers_are_members_with_minimal_cost(self):
-        # Oracle: group all N! permutations by their exact distribution and
-        # take each group's minimum cost and its lexicographically first
-        # minimizer, independently of the partition's labels.
-        inp = build_input_state(S1, FIXTURE)
+        # Oracle: group all N! permutations by their exact distribution under
+        # each state and take each group's minimum cost and its
+        # lexicographically first minimizer, independently of the partitions'
+        # labels. The two states have different partitions (M = 9 and M = 5)
+        # and share one pass, so a minimum leaking between them shows.
+        states = [FIXTURE, rational_state([Fraction(1, 2), Fraction(1, 2)])]
         perms = [Permutation(image) for image in itertools.permutations(range(S1.N))]
-        keys = [output_distribution(inp, p).probabilities for p in perms]
-        partition = distribution_class_partition(FIXTURE, S1)
+        keys = []
+        for state in states:
+            inp = build_input_state(S1, state)
+            keys.append([output_distribution(inp, p).probabilities for p in perms])
+        partitions = [distribution_class_partition(state, S1) for state in states]
+        assert [part.num_classes for part in partitions] == [9, 5]
         for model in (TRANSPOSITION_MODEL, make_gate_count_model(S1.n)):
-            group_minima = {}
-            for key, p in zip(keys, perms):
-                cost = model(p)
-                if key not in group_minima or cost < group_minima[key][0]:
-                    group_minima[key] = (cost, p)
-            result = aggregate_cost(partition, model, [Aggregator("max")])
-            assert result.per_class == {k: c for k, (c, _) in group_minima.items()}
-            assert result.minimizers == {k: p for k, (_, p) in group_minima.items()}
+            costs = [model(p) for p in perms]
+            results = aggregate_cost(partitions, model, [Aggregator("max")])
+            assert len(results) == len(states)
+            for state_keys, result in zip(keys, results):
+                group_minima = {}
+                for key, cost, p in zip(state_keys, costs, perms):
+                    if key not in group_minima or cost < group_minima[key][0]:
+                        group_minima[key] = (cost, p)
+                assert result.per_class == {k: c for k, (c, _) in group_minima.items()}
+                assert result.minimizers == {k: p for k, (_, p) in group_minima.items()}
 
     def test_sampled_partition_is_rejected(self):
-        partition = distribution_class_partition(
+        exhaustive = distribution_class_partition(FIXTURE, S1)
+        sampled = distribution_class_partition(
             FIXTURE, S1, mode="sampled", samples=50, seed=1
         )
-        with pytest.raises(ValidationError):
-            aggregate_cost(partition, TRANSPOSITION_MODEL, [Aggregator("max")])
+        other_shape = distribution_class_partition(
+            sample_haar_qr(2, seed=3), RegisterShape(0, 0, 2, 1)
+        )
+        for partitions in ([sampled], [exhaustive, sampled], [], [exhaustive, other_shape]):
+            with pytest.raises(ValidationError):
+                aggregate_cost(partitions, TRANSPOSITION_MODEL, [Aggregator("max")])
 
 
 class TestSecondaryCost:
@@ -210,7 +265,7 @@ class TestSecondaryCost:
     def test_secondary_aggregate_at_s1(self):
         partition = distribution_class_partition(FIXTURE, S1)
         average = [Aggregator("average")]
-        primary = aggregate_cost(partition, TRANSPOSITION_MODEL, average)
+        [primary] = aggregate_cost([partition], TRANSPOSITION_MODEL, average)
         res = aggregate_cost_samp_alg(primary, 1, average)
         assert res.num_secondary_classes == 81
         assert res.aggregates["average"].values == (4.0,)
@@ -238,7 +293,7 @@ class TestSecondaryCost:
                 group_minima[key] = cost
         minima = list(group_minima.values())
 
-        primary = aggregate_cost(partition, model, aggregators)
+        [primary] = aggregate_cost([partition], model, aggregators)
         res = aggregate_cost_samp_alg(primary, 1, aggregators)
         assert res.num_secondary_classes == len(group_minima) == 36
         assert res.aggregates == {agg.name: agg(minima) for agg in aggregators}
