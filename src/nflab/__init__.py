@@ -27,10 +27,8 @@ from .cost import (
     CostVector,
     GateList,
     TRANSPOSITION_MODEL,
-    TildePermutation,
     aggregate_cost,
     aggregate_cost_samp_alg,
-    build_tilde_p,
     compile_permutation,
     gate_list_from_text,
     make_gate_count_model,
@@ -38,8 +36,6 @@ from .cost import (
     random_stars_and_bars_target,
     scalar_cost,
     scaling_experiment,
-    secondary_class_key,
-    tilde_cost,
     transposition_count_cost,
     transposition_sequence,
 )

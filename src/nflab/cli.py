@@ -44,7 +44,7 @@ from .haar import (
     sample_haar_rayleigh,
     strong_distinct_oracle,
 )
-from .nfl import nfl_compare
+from .nfl import StageTimer, nfl_compare
 
 EXIT_OK = 0
 EXIT_GUARD = 2
@@ -243,17 +243,20 @@ def cmd_nfl(args) -> int:
     state_a = sample_haar_qr(shape.nq, args.seed)
     models = _cost_models_from_args(args, shape)
     aggregators = _aggregators_from_args(args)
-    t0 = time.perf_counter()
-    report_obj = nfl_compare(
-        state_a,
-        state_b,
-        shape,
-        cost_models=models,
-        aggregators=aggregators,
-        nx=args.nx,
-        tolerance=args.tolerance,
-    )
-    elapsed = time.perf_counter() - t0
+    timer = StageTimer()
+    with timer.stage("compare"):
+        report_obj = nfl_compare(
+            state_a,
+            state_b,
+            shape,
+            cost_models=models,
+            aggregators=aggregators,
+            nx=args.nx,
+            tolerance=args.tolerance,
+        )
+    timings = {"compare_seconds": timer.seconds["compare"]}
+    for stage, seconds in report_obj.stage_seconds.items():
+        timings[f"{stage}_seconds"] = seconds
     results = {
         "M_star": report_obj.m_star,
         "M_a": report_obj.m_a,
@@ -286,7 +289,7 @@ def cmd_nfl(args) -> int:
             "violations": list(report_obj.violations),
             "equal_costs": report_obj.all_equal,
         },
-        "timings": {"compare_seconds": elapsed} if args.timings else None,
+        "timings": timings if args.timings else None,
     }
     _emit(report, args.out)
     if not report_obj.precondition_ok:

@@ -1,6 +1,11 @@
 """Cost models, aggregators, the permutation -> {Toffoli, X} compiler, and
 aggregate-cost minimization over equivalence classes.
 
+Both built-in cost models also have a table form that costs every row of an
+array of permutation images at once from its cycle minima; aggregate_cost
+runs it over ``symmetric_group(N)`` and takes every class's minimum with
+array operations.
+
 Gate lists act on n register lines plus one clean ancilla (line n, in and out
 0). Line i carries bit n-1-i of the basis-state index, so line 0 is the most
 significant (first measured) bit.
@@ -14,6 +19,7 @@ Theta(n); correctness is enforced by truth-table simulation in the tests.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -21,14 +27,23 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     OutcomeDistribution,
     Permutation,
     RegisterShape,
 )
-from .equivalence import ClassPartitionReport, MultiplicityMatrix, multiplicity_key
+# multiplicity_key is imported here only so that it stays reachable as
+# nflab.cost.multiplicity_key, one of the sites perfbench/tracer.py wraps.
+from .equivalence import (  # noqa: F401
+    CHUNK_ROWS,
+    ClassPartitionReport,
+    multiplicity_key,
+    symmetric_group,
+)
 from .errors import ResourceLimitError, ShapeError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -65,12 +80,6 @@ class CostVector:
             raise ShapeError("budget arity does not match cost vector")
         return all(v <= b for v, b in zip(self.values, budget))
 
-    def add(self, other: "CostVector") -> "CostVector":
-        self._check(other)
-        return CostVector(
-            self.names, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
 
 def scalar_cost(name: str, value: float) -> CostVector:
     return CostVector((name,), (value,))
@@ -82,6 +91,8 @@ class Aggregator:
 
     The budget is a raw threshold tuple (one entry per cost component) so the
     same budget aggregator can be applied under any single-component model.
+    Calling it with ``blocks`` = k folds the sums of every ordered k-tuple of
+    the costs, all M^k of them, in closed form.
     """
 
     kind: str  # "average" | "max" | "budget"
@@ -97,20 +108,64 @@ class Aggregator:
     def name(self) -> str:
         return self.kind
 
-    def __call__(self, minima: Sequence[CostVector]) -> CostVector:
+    def __call__(self, minima: Sequence[CostVector], blocks: int = 1) -> CostVector:
+        """Fold the sum of every ordered ``blocks``-tuple of ``minima``.
+
+        ``blocks`` is a power of two, and 1 folds ``minima`` themselves. The
+        average of the sums is ``blocks`` times the mean, computed exactly
+        and rounded once; lexicographic order is compatible with addition,
+        so their max is ``blocks`` times the max; the budget count convolves
+        the histogram of costs with itself, in Python integers.
+        """
         if not minima:
             raise ValidationError("aggregator requires a non-empty tuple of costs")
+        if blocks < 1 or blocks & (blocks - 1):
+            raise ValidationError(f"block count {blocks} is not a power of two")
+        names = minima[0].names
         if self.kind == "average":
-            names = minima[0].names
             comps = tuple(
-                statistics.fmean(m.values[i] for m in minima)
-                for i in range(len(names))
+                float(blocks * sum(map(Fraction, column)) / len(minima))
+                for column in zip(*(m.values for m in minima))
             )
             return CostVector(names, comps)
         if self.kind == "max":
-            return max(minima)
-        count = sum(1 for m in minima if m.within(self.budget))
+            top = max(minima)
+            return CostVector(names, tuple(blocks * v for v in top.values))
+        if len(self.budget) != len(names):
+            raise ShapeError("budget arity does not match cost vector")
+        count = _count_within(minima, blocks, self.budget)
         return CostVector(("neg_count_within_budget",), (-count,))
+
+
+def _count_within(
+    minima: Sequence[CostVector], blocks: int, budget: Tuple[float, ...]
+) -> int:
+    """Number of ordered ``blocks``-tuples of ``minima`` whose componentwise
+    sum is within ``budget``, by repeated squaring of the cost histogram.
+
+    A partial sum of k blocks is dropped once it exceeds the budget in some
+    component even with the least cost in every one of the remaining blocks.
+    """
+    least = [min(column) for column in zip(*(m.values for m in minima))]
+
+    def viable(hist: Dict[tuple, int], size: int) -> Dict[tuple, int]:
+        rest = blocks - size
+        return {
+            total: count
+            for total, count in hist.items()
+            if all(t + rest * lo <= b for t, lo, b in zip(total, least, budget))
+        }
+
+    hist = viable(collections.Counter(m.values for m in minima), 1)
+    size = 1
+    while size < blocks:
+        doubled: Dict[tuple, int] = collections.defaultdict(int)
+        for s, m in hist.items():
+            for t, n in hist.items():
+                doubled[tuple(x + y for x, y in zip(s, t))] += m * n
+        size *= 2
+        hist = viable(doubled, size)
+    return sum(hist.values())
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +197,32 @@ def cycles(p: Permutation) -> List[List[int]]:
     return out
 
 
+def cycle_minima(images: np.ndarray) -> np.ndarray:
+    """Entry [r, j] is m(j) = min_k P^k(j), the least point on the cycle
+    through j of the permutation P whose image is row r; same dtype as
+    ``images``. The walk takes N - 2 gathers, each one ``take`` from the
+    flattened rows."""
+    rows, N = images.shape
+    flat = np.ascontiguousarray(images).ravel()
+    row_start = np.arange(0, rows * N, N)[:, None]
+    minima = np.minimum(images, np.arange(N, dtype=images.dtype))
+    point = images
+    for _ in range(N - 2):
+        point = flat.take(row_start + point)  # P applied once more
+        np.minimum(minima, point, out=minima)
+    return minima
+
+
 def transposition_count_cost(p: Permutation) -> CostVector:
     """N minus the number of cycles: the minimal transposition factorization length."""
     return scalar_cost("transpositions", p.size - len(cycles(p)))
+
+
+def transposition_count_table(images: np.ndarray) -> np.ndarray:
+    """transposition_count_cost of every row of ``images``: a cycle is
+    counted at its least point, the one point j with m(j) = j."""
+    N = images.shape[1]
+    return N - (cycle_minima(images) == np.arange(N)).sum(axis=1)
 
 
 def transposition_sequence(p: Permutation) -> List[Tuple[int, int]]:
@@ -319,33 +397,58 @@ def make_gate_count_model(n: int) -> "CostModel":
     """Gate-count cost: the compiled gate counts of the factors (a, b) of
     transposition_sequence, summed, each factor's count computed once and
     cached. The model walks cycles(p) itself, so a is a cycle's least point
-    and a < b in every factor."""
+    and a < b in every factor. Every point b other than its cycle's least
+    point a = m(b) makes one factor, so the table form sums W[m(j), j] over
+    j, with W[a, b] the factor's gate count for a < b and 0 on the diagonal.
+    """
     weights: Dict[Tuple[int, int], int] = {}
+
+    def weight(a: int, b: int) -> int:
+        w = weights.get((a, b))
+        if w is None:
+            w = weights[a, b] = len(_transposition_gates(a, b, n))
+        return w
 
     def fn(p: Permutation) -> CostVector:
         total = 0
         for cyc in cycles(p):
             a = cyc[0]
             for b in cyc[1:]:
-                w = weights.get((a, b))
-                if w is None:
-                    w = weights[a, b] = len(_transposition_gates(a, b, n))
-                total += w
+                total += weight(a, b)
         return scalar_cost("gates", total)
 
-    return CostModel("gates", fn)
+    def table(images: np.ndarray) -> np.ndarray:
+        N = images.shape[1]
+        W = np.array([[weight(a, b) if a < b else 0 for b in range(N)] for a in range(N)])
+        minima = cycle_minima(images)
+        return sum(W[minima[:, j], j] for j in range(N))
+
+    return CostModel("gates", fn, table)
 
 
 @dataclass(frozen=True)
 class CostModel:
+    """A named cost of one permutation.
+
+    ``fn`` maps a Permutation to its CostVector. ``table``, when given, is
+    the same cost for many permutations at once: it maps an integer array
+    of images, one permutation per row as in ``symmetric_group``, to the
+    integer cost of every row, the one component ``name`` of the vector
+    ``fn`` returns. aggregate_cost uses ``table`` when there is one and
+    calls ``fn`` on every permutation otherwise.
+    """
+
     name: str
     fn: Callable[[Permutation], CostVector]
+    table: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, p: Permutation) -> CostVector:
         return self.fn(p)
 
 
-TRANSPOSITION_MODEL = CostModel("transpositions", transposition_count_cost)
+TRANSPOSITION_MODEL = CostModel(
+    "transpositions", transposition_count_cost, transposition_count_table
+)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +463,37 @@ class AggregateCostResult:
 
 
 def _fold(
-    aggregators: Sequence[Aggregator], minima: List[CostVector]
+    aggregators: Sequence[Aggregator], minima: List[CostVector], blocks: int = 1
 ) -> Dict[str, CostVector]:
-    folded = {agg.name: agg(minima) for agg in aggregators}
+    folded = {agg.name: agg(minima, blocks) for agg in aggregators}
     if len(folded) != len(aggregators):
         raise ValidationError("aggregator names must be unique")
     return folded
+
+
+def _cost_chunks(
+    cost_model: CostModel, N: int
+) -> Tuple[Iterable[np.ndarray], Callable[[int], CostVector]]:
+    """One integer per permutation of S_N in lexicographic order, CHUNK_ROWS
+    permutations per array, and the map from such an integer back to the
+    permutation's CostVector; smaller integers are cheaper.
+
+    With a table the integers are the costs, computed one chunk at a time.
+    Without one, ``fn`` is called on every permutation and the integers are
+    the ranks of the distinct costs.
+    """
+    if cost_model.table is not None:
+        images = symmetric_group(N)
+        chunks = (
+            cost_model.table(images[start : start + CHUNK_ROWS])
+            for start in range(0, len(images), CHUNK_ROWS)
+        )
+        return chunks, lambda c: scalar_cost(cost_model.name, int(c))
+    costs = [cost_model(Permutation(image)) for image in itertools.permutations(range(N))]
+    distinct = sorted(set(costs))
+    rank = {c: i for i, c in enumerate(distinct)}
+    column = np.fromiter((rank[c] for c in costs), np.int64, len(costs))
+    return np.split(column, range(CHUNK_ROWS, len(column), CHUNK_ROWS)), distinct.__getitem__
 
 
 def aggregate_cost(
@@ -376,14 +504,18 @@ def aggregate_cost(
     """Exact per-class minimal single costs of each partition, folded by
     every aggregator; one result per partition, in order.
 
-    A permutation's cost does not depend on the state, so one lexicographic
-    pass over S_N evaluates ``cost_model`` once per permutation and, for every
-    partition, reads the permutation's class from that partition's labels and
-    keeps the cheapest permutation of every class. The partitions must be
-    exhaustive and share one shape (ValidationError otherwise, and for an
-    empty sequence). Ties break to the lexicographically smallest
-    permutation. Every aggregator folds over the same minima; aggregator
-    names key the result, so they must be unique.
+    A permutation's cost does not depend on the state, so one cost column
+    over S_N in lexicographic order serves every partition: from
+    ``cost_model.table`` over ``symmetric_group(N)`` when the model has one,
+    else from ``cost_model.fn`` on every permutation. The column is taken
+    CHUNK_ROWS permutations at a time; each partition's class minima are
+    updated from it by its labels with ``np.minimum.at``, and a class's
+    minimizer is its first row at the minimum (a later chunk replaces it
+    only when strictly cheaper), the lexicographically smallest minimizing
+    permutation. Only the minimizers become Permutation objects. The
+    partitions must be exhaustive and share one shape (ValidationError
+    otherwise, and for an empty sequence). Every aggregator folds over the
+    same minima; aggregator names key the result, so they must be unique.
     """
     if not partitions:
         raise ValidationError("cost minimization needs at least one partition")
@@ -392,19 +524,30 @@ def aggregate_cost(
         raise ValidationError("cost minimization needs partitions of one shape")
     if any(part.labels is None for part in partitions):
         raise ValidationError("cost minimization needs an exhaustive partition")
-    best = [[None] * part.num_classes for part in partitions]
-    best_image = [[None] * part.num_classes for part in partitions]
-    perms = itertools.permutations(range(shape.N))
-    for image, *labels in zip(perms, *(part.labels for part in partitions)):
-        c = cost_model(Permutation(image))
-        for b, b_image, label in zip(best, best_image, labels):
-            if b[label] is None or c < b[label]:  # strict: first min wins
-                b[label] = c
-                b_image[label] = image
+    chunks, cost_of = _cost_chunks(cost_model, shape.N)
+    unset = np.iinfo(np.int64).max
+    best = [np.full(part.num_classes, unset) for part in partitions]
+    best_row = [np.zeros(part.num_classes, dtype=np.intp) for part in partitions]
+    start = 0
+    for cost in chunks:
+        for part, b, b_row in zip(partitions, best, best_row):
+            labels = np.fromiter(part.labels[start : start + len(cost)], np.intp, len(cost))
+            chunk_best = np.full_like(b, unset)
+            np.minimum.at(chunk_best, labels, cost)
+            better = chunk_best < b  # strict: an earlier equal minimum stays
+            hits = np.flatnonzero(better[labels] & (cost == chunk_best[labels]))
+            improved, first = np.unique(labels[hits], return_index=True)
+            b[improved] = chunk_best[improved]
+            b_row[improved] = start + hits[first]
+        start += len(cost)
+    images = symmetric_group(shape.N)
     results = []
-    for part, b, b_image in zip(partitions, best, best_image):
-        per_class = dict(zip(part.classes, b))
-        minimizers = {key: Permutation(image) for key, image in zip(part.classes, b_image)}
+    for part, b, b_row in zip(partitions, best, best_row):
+        per_class = {key: cost_of(c) for key, c in zip(part.classes, b)}
+        minimizers = {
+            key: Permutation(tuple(images[row].tolist()))
+            for key, row in zip(part.classes, b_row)
+        }
         minima = [per_class[k] for k in sorted(per_class)]
         results.append(AggregateCostResult(
             aggregates=_fold(aggregators, minima),
@@ -419,51 +562,14 @@ def aggregate_cost(
 
 
 @dataclass(frozen=True)
-class TildePermutation:
-    """One permutation block per classical input value (block-diagonal form)."""
-
-    per_input: Tuple[Permutation, ...]
-
-    def __post_init__(self):
-        count = len(self.per_input)
-        if count < 1 or count & (count - 1):
-            raise ShapeError(f"block count {count} is not a power of two")
-        if len({p.size for p in self.per_input}) != 1:
-            raise ShapeError("all blocks must have equal size")
-
-    @property
-    def nx(self) -> int:
-        return len(self.per_input).bit_length() - 1
-
-
-def build_tilde_p(blocks: Sequence[Permutation]) -> TildePermutation:
-    return TildePermutation(tuple(blocks))
-
-
-def secondary_class_key(
-    tp: TildePermutation, shape: RegisterShape
-) -> Tuple[MultiplicityMatrix, ...]:
-    """Ordered tuple of per-block multiplicity keys; the order matters because
-    secondary equivalence demands the same distribution for every input."""
-    return tuple(multiplicity_key(p, shape) for p in tp.per_input)
-
-
-def tilde_cost(tp: TildePermutation, cost_model: CostModel) -> CostVector:
-    """Default single cost of a block-diagonal permutation: sum of block costs."""
-    total = cost_model(tp.per_input[0])
-    for p in tp.per_input[1:]:
-        total = total.add(cost_model(p))
-    return total
-
-
-@dataclass(frozen=True)
 class SecondaryCostResult:
     aggregates: Dict[str, CostVector]  # by aggregator name
     num_secondary_classes: int
 
 
-# Largest number of secondary classes whose minima are built one by one.
-SECONDARY_CLASS_CAP = 10**6
+# Python prints no integer of more than 4300 digits (its default
+# int_max_str_digits), so no report could hold a larger class count.
+SECONDARY_COUNT_MAX_DIGITS = 4300
 
 
 def aggregate_cost_samp_alg(
@@ -473,28 +579,25 @@ def aggregate_cost_samp_alg(
 
     A secondary class is an ordered 2^nx-tuple of primary classes, and the
     block-sum cost of its cheapest member is the sum of per-block minima, so
-    the minimization separates and no class member is scanned again; nx = 0
-    reduces exactly to the primary aggregates. Raises ResourceLimitError when
-    there are more than SECONDARY_CLASS_CAP secondary classes.
+    the minimization separates and no class member is scanned again. Every
+    aggregator folds the M^(2^nx) sums in closed form (see Aggregator), so
+    no secondary class is enumerated; nx = 0 reduces exactly to the primary
+    aggregates. Raises ResourceLimitError when max(M, 2)^(2^nx) has more
+    than SECONDARY_COUNT_MAX_DIGITS digits.
     """
     if nx < 0:
         raise ValidationError("nx must be non-negative")
     minima = [primary.per_class[k] for k in sorted(primary.per_class)]
-    num_blocks = 1 << nx
-    total = len(minima) ** num_blocks
-    if total > SECONDARY_CLASS_CAP:
+    digits = math.log10(max(len(minima), 2))
+    if nx > 64 or digits * (1 << nx) > SECONDARY_COUNT_MAX_DIGITS:
         raise ResourceLimitError(
-            f"secondary class count {total} exceeds cap {SECONDARY_CLASS_CAP}"
+            f"{len(minima)}^(2^{nx}) secondary classes: the count has more than "
+            f"{SECONDARY_COUNT_MAX_DIGITS} digits"
         )
-    secondary_minima = []
-    for combo in itertools.product(minima, repeat=num_blocks):
-        acc = combo[0]
-        for c in combo[1:]:
-            acc = acc.add(c)
-        secondary_minima.append(acc)
+    blocks = 1 << nx
     return SecondaryCostResult(
-        aggregates=_fold(aggregators, secondary_minima),
-        num_secondary_classes=total,
+        aggregates=_fold(aggregators, minima, blocks),
+        num_secondary_classes=len(minima) ** blocks,
     )
 
 

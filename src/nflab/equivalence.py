@@ -8,17 +8,20 @@ The definitional coset-search oracle is kept alongside it for validation.
 The distribution-class partition is built on that key for both numeric
 backends: permutations are grouped by key, one output distribution is
 computed per key, and keys whose distributions coincide (exactly, or pairwise
-within a float tolerance) are merged into one class.
+within a float tolerance) are merged into one class. The permutations are
+rows of one integer array, all of S_N for the exhaustive scan, so the keys
+are computed for every permutation at once.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     Permutation,
@@ -37,6 +40,9 @@ MultiplicityMatrix = Tuple[Tuple[int, ...], ...]
 DEFAULT_COSET_CAP = 10**7
 DEFAULT_TABLE_CAP = 10**6
 EXHAUSTIVE_MAX_N = 8
+# Rows keyed or costed per step: (N-1)! at N = 8, so a step over S_8 covers
+# the permutations with one first point and its temporaries stay small.
+CHUNK_ROWS = math.factorial(EXHAUSTIVE_MAX_N - 1)
 FLOAT_CLASS_TOL = 1e-9
 
 
@@ -312,6 +318,76 @@ def _merge_distributions(dists: Sequence[tuple], tol) -> List[tuple]:
     return [least[d] for d in dists]
 
 
+@functools.lru_cache
+def symmetric_group(N: int) -> np.ndarray:
+    """All N! permutation images of {0..N-1} as the rows of one read-only
+    int8 array in lexicographic order: row r is the permutation of
+    lexicographic rank r, as ``itertools.permutations`` yields them.
+
+    Built once per N and shared by every caller, hence read-only; N is at
+    most EXHAUSTIVE_MAX_N (ResourceLimitError otherwise), where the table
+    holds 8! x 8 bytes.
+    """
+    if not 1 <= N <= EXHAUSTIVE_MAX_N:
+        raise ResourceLimitError(
+            f"the symmetric-group table needs 1 <= N <= {EXHAUSTIVE_MAX_N}, got N = {N}"
+        )
+    count = math.factorial(N)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(N))),
+        dtype=np.int8,
+        count=count * N,
+    )
+    table = flat.reshape(count, N)
+    table.flags.writeable = False
+    return table
+
+
+def _key_slots(
+    images: np.ndarray, shape: RegisterShape
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Group the rows of ``images`` by multiplicity matrix.
+
+    Position j of a row is a cell (image[j] // B) * C + value class of j; the
+    sorted cells of a row are its multiplicity matrix written out entry by
+    entry, and their bytes are its key. Cells keep the dtype of ``images``:
+    int8 holds them at N <= 8, where every cell is below 2^ny * (2^nq + 1)
+    <= 72. Rows are
+    keyed CHUNK_ROWS at a time. Returns the slot of every row, one array per
+    chunk, with slots numbered by first appearance, and the first row of
+    every slot.
+    """
+    value_class = np.array(
+        [shape.value_class_of(j) for j in range(shape.N)], dtype=images.dtype
+    )
+    key_type = np.dtype((np.void, images.itemsize * shape.N))
+    keys, firsts, chunk_slots = [], [], []
+    for start in range(0, len(images), CHUNK_ROWS):
+        cells = images[start : start + CHUNK_ROWS].copy()
+        cells //= shape.bin_size
+        cells *= shape.num_value_classes
+        cells += value_class
+        cells.sort(axis=1)
+        chunk_keys, first, inverse = np.unique(
+            cells.view(key_type).ravel(), return_index=True, return_inverse=True
+        )
+        keys.append(chunk_keys)
+        firsts.append(first + start)
+        chunk_slots.append(inverse)
+    # A key's first occurrence in chunk order holds its first row.
+    _, where, key_of = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    first_rows = np.concatenate(firsts)[where]
+    order = np.argsort(first_rows)
+    slot_of_key = np.empty_like(order)
+    slot_of_key[order] = np.arange(len(order))
+    slot_of_entry = slot_of_key[key_of]
+    offset = 0
+    for i, chunk_keys in enumerate(keys):
+        chunk_slots[i] = slot_of_entry[chunk_slots[i] + offset]
+        offset += len(chunk_keys)
+    return chunk_slots, first_rows[order]
+
+
 def distribution_class_partition(
     state: ResourceState,
     shape: RegisterShape,
@@ -322,15 +398,19 @@ def distribution_class_partition(
 ) -> ClassPartitionReport:
     """Group permutations by the output distribution they prepare.
 
-    Exhaustive mode scans all N! permutations in lexicographic order (guarded
-    at N <= 8) and records each one's class in ``labels``; sampled mode draws
-    ``samples`` uniform permutations from the stated seed and keeps only the
-    class sizes. Each permutation is keyed by its multiplicity matrix, which
-    fixes its distribution; one distribution is computed per distinct key,
-    exactly on rational states and by correctly rounded sums on float states.
-    Keys whose distributions are pairwise within ``tolerance`` (0 on rational
-    states) form one class, named by its least distribution; a tolerance
-    under which closeness is not transitive raises ValidationError.
+    Exhaustive mode scans all N! permutations, the rows of
+    ``symmetric_group(N)`` (guarded at N <= 8), and records each one's class
+    in ``labels``; sampled mode draws ``samples`` uniform permutations from
+    the stated seed (one ``random.Random(seed).shuffle`` per draw) and keeps
+    only the class sizes. Both modes key every permutation by its
+    multiplicity matrix with array operations over one array of images,
+    CHUNK_ROWS rows at a time; the matrix fixes the distribution, and one
+    distribution is computed per distinct key, exactly on rational states
+    and by correctly rounded sums on float states. Keys whose distributions are pairwise within ``tolerance`` (0 on
+    rational states) form one class, named by its least distribution; a
+    tolerance under which closeness is not transitive raises ValidationError.
+    Classes are numbered by first appearance, and each one's representative
+    is its first permutation in scan order.
     """
     input_state = build_input_state(shape, state)
     if mode == "exhaustive":
@@ -338,35 +418,27 @@ def distribution_class_partition(
             raise ResourceLimitError(
                 f"exhaustive scan requires N <= {EXHAUSTIVE_MAX_N}, got N = {shape.N}"
             )
-        perms = itertools.permutations(range(shape.N))
+        images = symmetric_group(shape.N)
     elif mode == "sampled":
         if not samples or samples <= 0:
             raise ValidationError("sampled mode requires a positive sample count")
         rng = random.Random(seed)
         base = list(range(shape.N))
 
-        def sampled():
+        def draws():
             for _ in range(samples):
                 rng.shuffle(base)
-                yield tuple(base)
+                yield from base
 
-        perms = sampled()
+        images = np.fromiter(draws(), np.int32, samples * shape.N).reshape(samples, shape.N)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
-    key_of = _key_function(shape)
-    slot_of: Dict[tuple, int] = {}
-    firsts: list = []  # the first image of each key, in order of appearance
-    slots: list = []
-    for image in perms:
-        slot = slot_of.setdefault(key_of(image), len(slot_of))
-        if slot == len(firsts):
-            firsts.append(image)
-        slots.append(slot)
-
+    chunk_slots, firsts = _key_slots(images, shape)
+    first_images = [tuple(images[row].tolist()) for row in firsts]
     dists = [
         output_distribution(input_state, Permutation(image)).probabilities
-        for image in firsts
+        for image in first_images
     ]
     tol = 0 if input_state.backend == "rational" else tolerance
     # Slots are numbered by first appearance, so the classes are too, and a
@@ -376,18 +448,23 @@ def distribution_class_partition(
         order.setdefault(key, len(order)) for key in _merge_distributions(dists, tol)
     ]
     firsts_of_class: Dict[int, tuple] = {}
-    for label, image in zip(class_of_slot, firsts):
+    for label, image in zip(class_of_slot, first_images):
         firsts_of_class.setdefault(label, image)
-    labels = tuple(class_of_slot[s] for s in slots)
-    counts = collections.Counter(labels)
+    label_of_slot = np.array(class_of_slot)
+    counts = np.zeros(len(order), dtype=np.int64)
+    labels: list = []
+    for slots in chunk_slots:
+        chunk_labels = label_of_slot[slots]
+        counts += np.bincount(chunk_labels, minlength=len(order))
+        labels.extend(chunk_labels.tolist())
     classes = {
-        key: ClassInfo(Permutation(firsts_of_class[label]), counts[label])
+        key: ClassInfo(Permutation(firsts_of_class[label]), int(counts[label]))
         for key, label in order.items()
     }
     return ClassPartitionReport(
         shape=shape,
         classes=classes,
-        labels=labels if mode == "exhaustive" else None,
+        labels=tuple(labels) if mode == "exhaustive" else None,
     )
 
 

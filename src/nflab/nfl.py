@@ -7,8 +7,10 @@ either predicate prepares strictly fewer distributions instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import contextlib
+import time
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import RegisterShape, ResourceState
 from .cost import (
@@ -23,6 +25,25 @@ from .equivalence import (
     distribution_class_partition,
 )
 from .haar import is_distinct, strong_distinct_oracle
+
+
+class StageTimer:
+    """Elapsed ``time.perf_counter`` seconds summed per named stage."""
+
+    def __init__(self, stages: Sequence[str] = ()):
+        self.seconds: Dict[str, float] = {name: 0.0 for name in stages}
+
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
+
+
+# The stages of nfl_compare, in the order they run.
+NFL_STAGES = ("partition", "oracle", "cost", "fold")
 
 
 @dataclass(frozen=True)
@@ -47,6 +68,8 @@ class NflReport:
     cost_pairs: Optional[Dict[Tuple[str, str], CostPair]] = None
     secondary_class_counts: Optional[Tuple[int, int]] = None
     secondary_cost_pairs: Optional[Dict[Tuple[str, str], CostPair]] = None
+    # Elapsed seconds of each NFL_STAGES stage; not compared with the report.
+    stage_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def all_equal(self) -> bool:
@@ -89,31 +112,39 @@ def nfl_compare(
     grouping distributions at ``tolerance``. Each cost model takes one S_N
     pass for both partitions: every permutation's cost is evaluated once and
     updates the per-class minima of both states. Every aggregator, primary
-    and secondary (nx > 0), folds over those minima.
+    and secondary (nx > 0), folds over those minima; the secondary folds are
+    closed-form. The report's ``stage_seconds`` times each of NFL_STAGES:
+    class counting and both partitions, both states' predicate checks, the
+    cost passes with their primary folds, and the secondary folds.
     """
-    m_star = count_classes(shape)
-    part_a = distribution_class_partition(state_a, shape, tolerance=tolerance)
-    part_b = distribution_class_partition(state_b, shape, tolerance=tolerance)
+    timer = StageTimer(NFL_STAGES)
+    with timer.stage("partition"):
+        m_star = count_classes(shape)
+        part_a = distribution_class_partition(state_a, shape, tolerance=tolerance)
+        part_b = distribution_class_partition(state_b, shape, tolerance=tolerance)
     m_a, m_b = part_a.num_classes, part_b.num_classes
-    violations = _predicate_violations("A", state_a, shape, tolerance)
-    violations += _predicate_violations("B", state_b, shape, tolerance)
+    with timer.stage("oracle"):
+        violations = _predicate_violations("A", state_a, shape, tolerance)
+        violations += _predicate_violations("B", state_b, shape, tolerance)
     if violations:
         violations.append(f"M(A) = {m_a}, M(B) = {m_b}, M* = {m_star}")
         return NflReport(
             shape=shape, precondition_ok=False, violations=tuple(violations),
-            m_star=m_star, m_a=m_a, m_b=m_b,
+            m_star=m_star, m_a=m_a, m_b=m_b, stage_seconds=timer.seconds,
         )
 
     cost_pairs: Dict[Tuple[str, str], CostPair] = {}
     secondary_counts = None
     secondary_pairs = {} if nx is not None and nx > 0 else None
     for model in cost_models:
-        ra, rb = aggregate_cost((part_a, part_b), model, aggregators)
+        with timer.stage("cost"):
+            ra, rb = aggregate_cost((part_a, part_b), model, aggregators)
         for name, cost in ra.aggregates.items():
             cost_pairs[(model.name, name)] = CostPair(cost, rb.aggregates[name])
         if secondary_pairs is not None:
-            sa = aggregate_cost_samp_alg(ra, nx, aggregators)
-            sb = aggregate_cost_samp_alg(rb, nx, aggregators)
+            with timer.stage("fold"):
+                sa = aggregate_cost_samp_alg(ra, nx, aggregators)
+                sb = aggregate_cost_samp_alg(rb, nx, aggregators)
             for name, cost in sa.aggregates.items():
                 secondary_pairs[(model.name, name)] = CostPair(cost, sb.aggregates[name])
             secondary_counts = (sa.num_secondary_classes, sb.num_secondary_classes)
@@ -129,4 +160,5 @@ def nfl_compare(
         cost_pairs=cost_pairs,
         secondary_class_counts=secondary_counts,
         secondary_cost_pairs=secondary_pairs,
+        stage_seconds=timer.seconds,
     )

@@ -162,11 +162,19 @@ class TestNflCommand:
         assert report["results"]["secondary_classes"] == [81, 81]
         assert report["results"]["secondary_costs"]["transpositions/average"]["a"] == [4.0]
 
-    def test_secondary_class_cap(self, capsys):
-        # 9 classes and 2^3 blocks give 9^8 secondary classes, over the 10^6 cap.
+    def test_nx3_folds_every_secondary_class(self, capsys):
+        # 9 classes and 2^3 blocks give 9^8 secondary classes, all folded in
+        # closed form; tests/test_cost.py checks the fold against every tuple.
         code, out = run_cli(
             capsys, "nfl", "--nx", "3", "--cost", "transpositions", "--aggregator", "average"
         )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["secondary_classes"] == [9 ** 8, 9 ** 8]
+        assert results["secondary_costs"]["transpositions/average"]["a"] == [16.0]
+
+    def test_unprintable_secondary_class_count_is_a_guard(self, capsys):
+        code, out = run_cli(capsys, "nfl", "--nx", "13", "--cost", "transpositions")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ResourceLimitError"
 
@@ -274,6 +282,9 @@ class TestScalingCommand:
         assert "error" in json.loads(out)
 
 
+NFL_STAGE_KEYS = {"partition_seconds", "oracle_seconds", "cost_seconds", "fold_seconds"}
+
+
 class TestTimings:
     @pytest.mark.parametrize("argv, key", [
         (("haar", "--nq", "2", "--seed", "7"), "check_seconds"),
@@ -286,11 +297,24 @@ class TestTimings:
         assert code == timed_code == 0
         plain, timed = json.loads(plain), json.loads(timed)
         assert plain["timings"] is None
-        assert list(timed["timings"]) == [key]
-        value = timed["timings"][key]
-        assert isinstance(value, float) and value >= 0.0
+        stages = NFL_STAGE_KEYS if argv[0] == "nfl" else set()
+        assert set(timed["timings"]) == {key} | stages
+        for value in timed["timings"].values():
+            assert isinstance(value, float) and value >= 0.0
         for part in ("config", "results", "verdicts"):
             assert timed[part] == plain[part]
+
+    @pytest.mark.parametrize("argv", [("--nx", "1"), ("--uniform-b",)])
+    def test_nfl_stages_fit_inside_compare(self, capsys, argv):
+        _, out = run_cli(capsys, "nfl", *argv, "--timings")
+        timings = json.loads(out)["timings"]
+        stages = [timings[key] for key in sorted(NFL_STAGE_KEYS)]
+        assert sum(stages) <= timings["compare_seconds"]
+        ran = {key for key in NFL_STAGE_KEYS if timings[key] > 0.0}
+        if "--uniform-b" in argv:
+            assert ran == {"partition_seconds", "oracle_seconds"}
+        else:
+            assert ran == NFL_STAGE_KEYS
 
 
 class TestParser:

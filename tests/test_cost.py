@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import statistics
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,16 @@ from hypothesis import strategies as st
 from nflab import (
     Aggregator,
     ShapeError,
+    CostModel,
     CostVector,
     GateList,
     Permutation,
     RegisterShape,
+    ResourceLimitError,
     TRANSPOSITION_MODEL,
     ValidationError,
     aggregate_cost,
     aggregate_cost_samp_alg,
-    build_tilde_p,
     compile_permutation,
     compose,
     count_classes,
@@ -36,17 +39,74 @@ from nflab import (
     sample_haar_qr,
     scalar_cost,
     scaling_experiment,
-    secondary_class_key,
-    tilde_cost,
     transposition,
     transposition_count_cost,
     transposition_sequence,
 )
 from nflab.core import OutcomeDistribution
 from nflab.cost import cycles
+from nflab.equivalence import multiplicity_key, symmetric_group
 
 S1 = RegisterShape(1, 1, 1, 1)
 FIXTURE = rational_state([Fraction(16, 25), Fraction(9, 25)])
+UNIFORM = rational_state([Fraction(1, 2), Fraction(1, 2)])
+
+
+# Brute-force secondary oracle: a sampling algorithm's permutation is
+# block-diagonal, one block per classical input value; its secondary class is
+# the ordered tuple of its blocks' multiplicity keys and its cost the sum of
+# its blocks' costs.
+
+
+@dataclass(frozen=True)
+class TildePermutation:
+    """One permutation block per classical input value (block-diagonal form)."""
+
+    per_input: tuple
+
+    @property
+    def nx(self) -> int:
+        return len(self.per_input).bit_length() - 1
+
+
+def build_tilde_p(blocks):
+    return TildePermutation(tuple(blocks))
+
+
+def secondary_class_key(tp, shape):
+    return tuple(multiplicity_key(p, shape) for p in tp.per_input)
+
+
+def _vector_sum(vectors):
+    """Left-to-right componentwise sum of cost vectors of one kind."""
+    total = vectors[0]
+    for v in vectors[1:]:
+        assert v.names == total.names
+        total = CostVector(total.names, tuple(a + b for a, b in zip(total.values, v.values)))
+    return total
+
+
+def tilde_cost(tp, cost_model):
+    return _vector_sum([cost_model(p) for p in tp.per_input])
+
+
+def definitional_fold(agg, costs):
+    """The aggregators by their definitions, one cost at a time."""
+    if agg.kind == "average":
+        names = costs[0].names
+        return CostVector(names, tuple(
+            statistics.fmean(c.values[i] for c in costs) for i in range(len(names))
+        ))
+    if agg.kind == "max":
+        return max(costs)
+    return CostVector(("neg_count_within_budget",),
+                      (-sum(1 for c in costs if c.within(agg.budget)),))
+
+
+def product_fold(minima, nx, aggregators):
+    """Secondary aggregates from every ordered 2^nx-tuple of class minima."""
+    sums = [_vector_sum(combo) for combo in itertools.product(minima, repeat=1 << nx)]
+    return len(sums), {agg.name: definitional_fold(agg, sums) for agg in aggregators}
 
 
 class TestCostVector:
@@ -64,10 +124,6 @@ class TestCostVector:
     def test_component_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             CostVector(("a",), (1.0,)) < CostVector(("b",), (1.0,))
-
-    def test_add(self):
-        a = scalar_cost("t", 2.0)
-        assert a.add(scalar_cost("t", 3.0)).values == (5.0,)
 
 
 class TestTranspositionCost:
@@ -134,6 +190,38 @@ class TestCycleWalk:
             assert model(p).values[0] == len(compile_permutation(p, n).gates)
 
 
+class TestCostTables:
+    def test_symmetric_group_is_lexicographic_and_read_only(self):
+        table = symmetric_group(4)
+        assert [tuple(row) for row in table.tolist()] == list(itertools.permutations(range(4)))
+        assert symmetric_group(4) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_match_fn_over_s_n(self, n):
+        images = symmetric_group(2 ** n)
+        for model in (TRANSPOSITION_MODEL, make_gate_count_model(n)):
+            expected = [model(Permutation(image)) for image in itertools.permutations(range(2 ** n))]
+            column = model.table(images)
+            assert [scalar_cost(model.name, c) for c in column.tolist()] == expected
+
+    def test_table_less_model_gives_the_same_results(self):
+        # The per-permutation route (fn on every permutation) is the oracle of
+        # the table route, on two partitions with different class counts.
+        partitions = [distribution_class_partition(state, S1) for state in (FIXTURE, UNIFORM)]
+        aggregators = [Aggregator("average"), Aggregator("max"), Aggregator("budget", (5.0,))]
+        for model in (TRANSPOSITION_MODEL, make_gate_count_model(S1.n)):
+            oracle = CostModel(model.name, model.fn)
+            assert oracle.table is None
+            fast = aggregate_cost(partitions, model, aggregators)
+            slow = aggregate_cost(partitions, oracle, aggregators)
+            for f, s in zip(fast, slow):
+                assert f.per_class == s.per_class
+                assert f.minimizers == s.minimizers
+                assert f.aggregates == s.aggregates
+
+
 class TestAggregator:
     def test_average(self):
         agg = Aggregator("average")
@@ -162,6 +250,13 @@ class TestAggregator:
     def test_budget_requires_threshold(self):
         with pytest.raises(ValidationError):
             Aggregator("budget")
+
+    def test_block_count_must_be_a_power_of_two(self):
+        vs = [scalar_cost("t", v) for v in (0, 1, 2)]
+        assert Aggregator("max")(vs, 4).values == (8,)
+        for blocks in (0, 3, 6):
+            with pytest.raises(ValidationError):
+                Aggregator("max")(vs, blocks)
 
 
 class TestCompiler:
@@ -222,7 +317,7 @@ class TestAggregateCost:
         # lexicographically first minimizer, independently of the partitions'
         # labels. The two states have different partitions (M = 9 and M = 5)
         # and share one pass, so a minimum leaking between them shows.
-        states = [FIXTURE, rational_state([Fraction(1, 2), Fraction(1, 2)])]
+        states = [FIXTURE, UNIFORM]
         perms = [Permutation(image) for image in itertools.permutations(range(S1.N))]
         keys = []
         for state in states:
@@ -296,9 +391,37 @@ class TestSecondaryCost:
         [primary] = aggregate_cost([partition], model, aggregators)
         res = aggregate_cost_samp_alg(primary, 1, aggregators)
         assert res.num_secondary_classes == len(group_minima) == 36
-        assert res.aggregates == {agg.name: agg(minima) for agg in aggregators}
+        assert res.aggregates == {agg.name: definitional_fold(agg, minima) for agg in aggregators}
         # A budget that every class or no class meets would check nothing.
         assert 0 < -res.aggregates["budget"].values[0] < 36
+
+    @pytest.mark.parametrize("shape", [RegisterShape(0, 1, 1, 1), RegisterShape(1, 0, 1, 1)])
+    @pytest.mark.parametrize("model, budget", [
+        (TRANSPOSITION_MODEL, 9.5),
+        (make_gate_count_model(2), 70.5),
+    ])
+    def test_closed_form_fold_matches_product_fold_at_nx3(self, shape, model, budget):
+        partition = distribution_class_partition(sample_haar_qr(1, seed=5), shape)
+        assert partition.num_classes == count_classes(shape)
+        aggregators = [Aggregator("average"), Aggregator("max"), Aggregator("budget", (budget,))]
+        [primary] = aggregate_cost([partition], model, aggregators)
+        minima = [primary.per_class[k] for k in sorted(primary.per_class)]
+        count, expected = product_fold(minima, 3, aggregators)
+        res = aggregate_cost_samp_alg(primary, 3, aggregators)
+        assert res.num_secondary_classes == count == partition.num_classes ** 8
+        assert res.aggregates == expected
+        assert 0 < -res.aggregates["budget"].values[0] < count
+
+    def test_class_count_too_long_to_print_is_a_guard(self):
+        partition = distribution_class_partition(FIXTURE, S1)
+        [primary] = aggregate_cost([partition], TRANSPOSITION_MODEL, [Aggregator("max")])
+        # 9^(2^12) has 3 909 digits, 9^(2^13) has 7 817.
+        res = aggregate_cost_samp_alg(primary, 12, [Aggregator("max")])
+        assert res.num_secondary_classes == 9 ** 4096
+        assert res.aggregates["max"].values == (4096 * 4,)
+        for nx in (13, 10 ** 9):
+            with pytest.raises(ResourceLimitError):
+                aggregate_cost_samp_alg(primary, nx, [Aggregator("max")])
 
 
 class TestPreparation:
