@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-import time
 from fractions import Fraction
 from typing import Optional
 
@@ -107,30 +107,30 @@ def _resolve_state(args, shape: RegisterShape) -> ResourceState:
 def cmd_haar(args) -> int:
     results = {}
     verdicts = {}
-    t0 = time.perf_counter()
-    for method, sampler in (("qr", sample_haar_qr), ("rayleigh", sample_haar_rayleigh)):
-        state = sampler(args.nq, args.seed)
-        entry = {
-            "squared_magnitudes": list(state.squared_magnitudes),
-            "sum": sum(state.squared_magnitudes),
-            "distinct": is_distinct(state, args.tolerance),
-        }
+    timer = StageTimer()
+    with timer.stage("check"):
         # Strong distinctness needs a full register shape; skip when the flags
         # do not form a valid one (e.g. nq = 0 with no other registers).
         try:
             shape = RegisterShape(n0=args.n0, nplus=args.nplus, nq=args.nq, ny=args.ny)
         except ShapeError:
             shape = None
-        if shape is not None:
-            entry["strongly_distinct_fast"] = is_strongly_distinct_fast(
-                state, shape, args.tolerance
-            ).value
-            entry["strongly_distinct_oracle"] = strong_distinct_oracle(
-                state, shape, args.tolerance
-            )
-        results[method] = entry
-        verdicts[method] = "distinct" if entry["distinct"] else "not distinct"
-    elapsed = time.perf_counter() - t0
+        for method, sampler in (("qr", sample_haar_qr), ("rayleigh", sample_haar_rayleigh)):
+            state = sampler(args.nq, args.seed)
+            entry = {
+                "squared_magnitudes": list(state.squared_magnitudes),
+                "sum": sum(state.squared_magnitudes),
+                "distinct": is_distinct(state, args.tolerance),
+            }
+            if shape is not None:
+                entry["strongly_distinct_fast"] = is_strongly_distinct_fast(
+                    state, shape, args.tolerance
+                ).value
+                entry["strongly_distinct_oracle"] = strong_distinct_oracle(
+                    state, shape, args.tolerance
+                )
+            results[method] = entry
+            verdicts[method] = "distinct" if entry["distinct"] else "not distinct"
     report = {
         "config": {
             "command": "haar",
@@ -143,7 +143,7 @@ def cmd_haar(args) -> int:
         },
         "results": results,
         "verdicts": verdicts,
-        "timings": {"check_seconds": elapsed} if args.timings else None,
+        "timings": {"check_seconds": timer.seconds["check"]} if args.timings else None,
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -152,17 +152,17 @@ def cmd_haar(args) -> int:
 def cmd_classes(args) -> int:
     shape = _shape_from_args(args)
     state = _resolve_state(args, shape)
-    t0 = time.perf_counter()
-    m_star = count_classes(shape)
-    partition = distribution_class_partition(
-        state,
-        shape,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-    elapsed = time.perf_counter() - t0
+    timer = StageTimer()
+    with timer.stage("scan"):
+        m_star = count_classes(shape)
+        partition = distribution_class_partition(
+            state,
+            shape,
+            mode=args.mode,
+            samples=args.samples,
+            seed=args.seed,
+            tolerance=args.tolerance,
+        )
     agree = partition.num_classes == m_star if args.mode == "exhaustive" else None
     verdict = (
         "generic (M = M*)"
@@ -196,7 +196,7 @@ def cmd_classes(args) -> int:
             ),
         },
         "verdicts": {"classes": verdict},
-        "timings": {"scan_seconds": elapsed} if args.timings else None,
+        "timings": {"scan_seconds": timer.seconds["scan"]} if args.timings else None,
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -301,20 +301,20 @@ def cmd_collapse(args) -> int:
     shape = _shape_from_args(args)
     degenerate = rational_state([Fraction(v) for v in args.degenerate.split(",")])
     distinct_state = rational_state([Fraction(v) for v in args.distinct.split(",")])
-    t0 = time.perf_counter()
-    p, s = collapse_witness(shape, args.istar, args.jstar)
-    input_deg = build_input_state(shape, degenerate)
-    input_dis = build_input_state(shape, distinct_state)
-    dist_deg = (
-        output_distribution(input_deg, p).probabilities,
-        output_distribution(input_deg, s).probabilities,
-    )
-    dist_dis = (
-        output_distribution(input_dis, p).probabilities,
-        output_distribution(input_dis, s).probabilities,
-    )
-    same_class = same_multiplicative_class(p, s, shape)
-    elapsed = time.perf_counter() - t0
+    timer = StageTimer()
+    with timer.stage("witness"):
+        p, s = collapse_witness(shape, args.istar, args.jstar)
+        input_deg = build_input_state(shape, degenerate)
+        input_dis = build_input_state(shape, distinct_state)
+        dist_deg = (
+            output_distribution(input_deg, p).probabilities,
+            output_distribution(input_deg, s).probabilities,
+        )
+        dist_dis = (
+            output_distribution(input_dis, p).probabilities,
+            output_distribution(input_dis, s).probabilities,
+        )
+        same_class = same_multiplicative_class(p, s, shape)
     verdicts = {
         "degenerate_equal": dist_deg[0] == dist_deg[1],
         "distinct_different": dist_dis[0] != dist_dis[1],
@@ -340,7 +340,7 @@ def cmd_collapse(args) -> int:
             "same_multiplicative_class": same_class,
         },
         "verdicts": verdicts,
-        "timings": {"witness_seconds": elapsed} if args.timings else None,
+        "timings": {"witness_seconds": timer.seconds["witness"]} if args.timings else None,
     }
     _emit(report, args.out)
     return EXIT_OK if all(verdicts.values()) else EXIT_CHECK_FAILED
@@ -373,7 +373,9 @@ def cmd_scaling(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nflab parser, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nflab",
         description="Equivalence-class and cost experiments for permutation "

@@ -27,7 +27,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .core import (
 # multiplicity_key is imported here only so that it stays reachable as
 # nflab.cost.multiplicity_key, one of the sites perfbench/tracer.py wraps.
 from .equivalence import (  # noqa: F401
-    CHUNK_ROWS,
     ClassPartitionReport,
     multiplicity_key,
     symmetric_group,
@@ -200,16 +199,20 @@ def cycles(p: Permutation) -> List[List[int]]:
 def cycle_minima(images: np.ndarray) -> np.ndarray:
     """Entry [r, j] is m(j) = min_k P^k(j), the least point on the cycle
     through j of the permutation P whose image is row r; same dtype as
-    ``images``. The walk takes N - 2 gathers, each one ``take`` from the
-    flattened rows."""
+    ``images``, column-major. Each column j is walked on its own for N - 2
+    steps, each one ``take`` from the flattened rows, so the temporaries
+    hold one entry per row."""
     rows, N = images.shape
     flat = np.ascontiguousarray(images).ravel()
-    row_start = np.arange(0, rows * N, N)[:, None]
-    minima = np.minimum(images, np.arange(N, dtype=images.dtype))
-    point = images
-    for _ in range(N - 2):
-        point = flat.take(row_start + point)  # P applied once more
-        np.minimum(minima, point, out=minima)
+    row_start = np.arange(0, rows * N, N)
+    minima = np.empty(images.shape, images.dtype, order="F")
+    for j in range(N):
+        point = images[:, j]
+        column = minima[:, j]
+        np.minimum(point, j, out=column)
+        for _ in range(N - 2):
+            point = flat.take(row_start + point)  # P applied once more
+            np.minimum(column, point, out=column)
     return minima
 
 
@@ -471,29 +474,24 @@ def _fold(
     return folded
 
 
-def _cost_chunks(
+def _cost_column(
     cost_model: CostModel, N: int
-) -> Tuple[Iterable[np.ndarray], Callable[[int], CostVector]]:
-    """One integer per permutation of S_N in lexicographic order, CHUNK_ROWS
-    permutations per array, and the map from such an integer back to the
-    permutation's CostVector; smaller integers are cheaper.
+) -> Tuple[np.ndarray, Callable[[int], CostVector]]:
+    """One integer per permutation of S_N in lexicographic order, and the
+    map from such an integer back to the permutation's CostVector; smaller
+    integers are cheaper.
 
-    With a table the integers are the costs, computed one chunk at a time.
-    Without one, ``fn`` is called on every permutation and the integers are
-    the ranks of the distinct costs.
+    With a table the integers are the costs of the rows of
+    ``symmetric_group(N)``. Without one, ``fn`` is called on every
+    permutation and the integers are the ranks of the distinct costs.
     """
     if cost_model.table is not None:
-        images = symmetric_group(N)
-        chunks = (
-            cost_model.table(images[start : start + CHUNK_ROWS])
-            for start in range(0, len(images), CHUNK_ROWS)
-        )
-        return chunks, lambda c: scalar_cost(cost_model.name, int(c))
+        column = cost_model.table(symmetric_group(N))
+        return column, lambda c: scalar_cost(cost_model.name, int(c))
     costs = [cost_model(Permutation(image)) for image in itertools.permutations(range(N))]
     distinct = sorted(set(costs))
     rank = {c: i for i, c in enumerate(distinct)}
-    column = np.fromiter((rank[c] for c in costs), np.int64, len(costs))
-    return np.split(column, range(CHUNK_ROWS, len(column), CHUNK_ROWS)), distinct.__getitem__
+    return np.fromiter((rank[c] for c in costs), np.int64, len(costs)), distinct.__getitem__
 
 
 def aggregate_cost(
@@ -505,17 +503,14 @@ def aggregate_cost(
     every aggregator; one result per partition, in order.
 
     A permutation's cost does not depend on the state, so one cost column
-    over S_N in lexicographic order serves every partition: from
-    ``cost_model.table`` over ``symmetric_group(N)`` when the model has one,
-    else from ``cost_model.fn`` on every permutation. The column is taken
-    CHUNK_ROWS permutations at a time; each partition's class minima are
-    updated from it by its labels with ``np.minimum.at``, and a class's
-    minimizer is its first row at the minimum (a later chunk replaces it
-    only when strictly cheaper), the lexicographically smallest minimizing
-    permutation. Only the minimizers become Permutation objects. The
-    partitions must be exhaustive and share one shape (ValidationError
-    otherwise, and for an empty sequence). Every aggregator folds over the
-    same minima; aggregator names key the result, so they must be unique.
+    over S_N in lexicographic order (_cost_column) serves every partition.
+    Each partition's class minima come from its labels in one
+    ``np.minimum.at``, and a class's minimizer is its first row at the
+    minimum, the lexicographically smallest minimizing permutation. Only
+    the minimizers become Permutation objects. The partitions must be
+    exhaustive and share one shape (ValidationError otherwise, and for an
+    empty sequence). Every aggregator folds over the same minima; aggregator
+    names key the result, so they must be unique.
     """
     if not partitions:
         raise ValidationError("cost minimization needs at least one partition")
@@ -524,29 +519,19 @@ def aggregate_cost(
         raise ValidationError("cost minimization needs partitions of one shape")
     if any(part.labels is None for part in partitions):
         raise ValidationError("cost minimization needs an exhaustive partition")
-    chunks, cost_of = _cost_chunks(cost_model, shape.N)
-    unset = np.iinfo(np.int64).max
-    best = [np.full(part.num_classes, unset) for part in partitions]
-    best_row = [np.zeros(part.num_classes, dtype=np.intp) for part in partitions]
-    start = 0
-    for cost in chunks:
-        for part, b, b_row in zip(partitions, best, best_row):
-            labels = np.fromiter(part.labels[start : start + len(cost)], np.intp, len(cost))
-            chunk_best = np.full_like(b, unset)
-            np.minimum.at(chunk_best, labels, cost)
-            better = chunk_best < b  # strict: an earlier equal minimum stays
-            hits = np.flatnonzero(better[labels] & (cost == chunk_best[labels]))
-            improved, first = np.unique(labels[hits], return_index=True)
-            b[improved] = chunk_best[improved]
-            b_row[improved] = start + hits[first]
-        start += len(cost)
+    cost, cost_of = _cost_column(cost_model, shape.N)
     images = symmetric_group(shape.N)
     results = []
-    for part, b, b_row in zip(partitions, best, best_row):
-        per_class = {key: cost_of(c) for key, c in zip(part.classes, b)}
+    for part in partitions:
+        labels = part.labels
+        best = np.full(part.num_classes, np.iinfo(np.int64).max)
+        np.minimum.at(best, labels, cost)
+        hits = np.flatnonzero(cost == best[labels])
+        best_row = hits[np.unique(labels[hits], return_index=True)[1]]
+        per_class = {key: cost_of(c) for key, c in zip(part.classes, best)}
         minimizers = {
             key: Permutation(tuple(images[row].tolist()))
-            for key, row in zip(part.classes, b_row)
+            for key, row in zip(part.classes, best_row)
         }
         minima = [per_class[k] for k in sorted(per_class)]
         results.append(AggregateCostResult(

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,6 @@ MultiplicityMatrix = Tuple[Tuple[int, ...], ...]
 DEFAULT_COSET_CAP = 10**7
 DEFAULT_TABLE_CAP = 10**6
 EXHAUSTIVE_MAX_N = 8
-# Rows keyed or costed per step: (N-1)! at N = 8, so a step over S_8 covers
-# the permutations with one first point and its temporaries stay small.
-CHUNK_ROWS = math.factorial(EXHAUSTIVE_MAX_N - 1)
 FLOAT_CLASS_TOL = 1e-9
 
 
@@ -117,31 +114,28 @@ def bin_group_spec(shape: RegisterShape) -> BlockGroupSpec:
 # Multiplicative equivalence
 
 
-@functools.lru_cache
-def _key_function(shape: RegisterShape) -> Callable[[tuple], tuple]:
-    """The flattened multiplicity matrix of a permutation image: entry
-    y * C + c counts the positions of value class c sent to bin y."""
-    B = shape.bin_size
-    C = shape.num_value_classes
-    value_class = [shape.value_class_of(j) for j in range(shape.N)]
-    size = shape.num_bins * C
-
-    def key(image: tuple) -> tuple:
-        counts = [0] * size
-        for v, c in zip(image, value_class):
-            counts[v // B * C + c] += 1
-        return tuple(counts)
-
-    return key
+def _cells(images: np.ndarray, shape: RegisterShape) -> np.ndarray:
+    """Entry [r, j] is the multiplicity-matrix cell (image[j] // B) * C +
+    value class of j of the permutation whose image is row r: the bin that
+    position j is sent to and the value class of j. Same dtype as
+    ``images``, whose entries must fit cells up to 2^ny * C - 1."""
+    value_class = np.array(
+        [shape.value_class_of(j) for j in range(shape.N)], dtype=images.dtype
+    )
+    cells = images // shape.bin_size
+    cells *= shape.num_value_classes
+    cells += value_class
+    return cells
 
 
 def multiplicity_key(p: Permutation, shape: RegisterShape) -> MultiplicityMatrix:
     """counts[y][c] = number of positions in value class c that p sends to bin y."""
     if p.size != shape.N:
         raise ShapeError(f"permutation size {p.size} != N = {shape.N}")
-    flat = _key_function(shape)(p.image)
     C = shape.num_value_classes
-    return tuple(flat[y * C : (y + 1) * C] for y in range(shape.num_bins))
+    cells = _cells(np.array(p.image, dtype=np.intp), shape)
+    counts = np.bincount(cells, minlength=shape.num_bins * C).tolist()
+    return tuple(tuple(counts[y * C : (y + 1) * C]) for y in range(shape.num_bins))
 
 
 def same_multiplicative_class(
@@ -265,16 +259,17 @@ class ClassPartitionReport:
     """Grouping of permutations by exact output distribution.
 
     ``classes`` maps each class's distribution to its ClassInfo, in order of
-    first appearance. An exhaustive partition also has ``labels``:
-    ``labels[r]`` is the index in ``classes`` of the class holding the
-    permutation of lexicographic rank r, so equal label arrays mean identical
-    partitions of the full symmetric group. A sampled partition has
-    ``labels = None``.
+    first appearance. An exhaustive partition also has ``labels``, a
+    read-only ``np.intp`` array of N! entries: ``labels[r]`` is the index in
+    ``classes`` of the class holding the permutation of lexicographic rank r
+    (row r of ``symmetric_group(N)``), so equal label arrays
+    (``np.array_equal``) mean identical partitions of the full symmetric
+    group. A sampled partition has ``labels = None``.
     """
 
     shape: RegisterShape
     classes: Dict[tuple, ClassInfo]
-    labels: Optional[tuple]
+    labels: Optional[np.ndarray]
 
     @property
     def num_classes(self) -> int:
@@ -345,47 +340,27 @@ def symmetric_group(N: int) -> np.ndarray:
 
 def _key_slots(
     images: np.ndarray, shape: RegisterShape
-) -> Tuple[List[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Group the rows of ``images`` by multiplicity matrix.
 
-    Position j of a row is a cell (image[j] // B) * C + value class of j; the
-    sorted cells of a row are its multiplicity matrix written out entry by
-    entry, and their bytes are its key. Cells keep the dtype of ``images``:
-    int8 holds them at N <= 8, where every cell is below 2^ny * (2^nq + 1)
-    <= 72. Rows are
-    keyed CHUNK_ROWS at a time. Returns the slot of every row, one array per
-    chunk, with slots numbered by first appearance, and the first row of
-    every slot.
+    The sorted cells (see _cells) of a row are its multiplicity matrix
+    written out entry by entry, and their bytes are its key: one unsigned
+    integer when the row is at most 8 bytes wide (every exhaustive scan,
+    whose int8 cells are below 2^ny * (2^nq + 1) <= 72 at N <= 8), else a
+    fixed-width byte string. Returns the slot of every row, with slots
+    numbered by first appearance, and the first row of every slot.
     """
-    value_class = np.array(
-        [shape.value_class_of(j) for j in range(shape.N)], dtype=images.dtype
+    cells = _cells(images, shape)
+    cells.sort(axis=1)
+    width = cells.itemsize * shape.N
+    key_type = np.dtype(f"u{width}") if width <= 8 else np.dtype((np.void, width))
+    _, first, key_of = np.unique(
+        cells.view(key_type).ravel(), return_index=True, return_inverse=True
     )
-    key_type = np.dtype((np.void, images.itemsize * shape.N))
-    keys, firsts, chunk_slots = [], [], []
-    for start in range(0, len(images), CHUNK_ROWS):
-        cells = images[start : start + CHUNK_ROWS].copy()
-        cells //= shape.bin_size
-        cells *= shape.num_value_classes
-        cells += value_class
-        cells.sort(axis=1)
-        chunk_keys, first, inverse = np.unique(
-            cells.view(key_type).ravel(), return_index=True, return_inverse=True
-        )
-        keys.append(chunk_keys)
-        firsts.append(first + start)
-        chunk_slots.append(inverse)
-    # A key's first occurrence in chunk order holds its first row.
-    _, where, key_of = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    first_rows = np.concatenate(firsts)[where]
-    order = np.argsort(first_rows)
+    order = np.argsort(first)
     slot_of_key = np.empty_like(order)
     slot_of_key[order] = np.arange(len(order))
-    slot_of_entry = slot_of_key[key_of]
-    offset = 0
-    for i, chunk_keys in enumerate(keys):
-        chunk_slots[i] = slot_of_entry[chunk_slots[i] + offset]
-        offset += len(chunk_keys)
-    return chunk_slots, first_rows[order]
+    return slot_of_key[key_of], first[order]
 
 
 def distribution_class_partition(
@@ -403,14 +378,15 @@ def distribution_class_partition(
     in ``labels``; sampled mode draws ``samples`` uniform permutations from
     the stated seed (one ``random.Random(seed).shuffle`` per draw) and keeps
     only the class sizes. Both modes key every permutation by its
-    multiplicity matrix with array operations over one array of images,
-    CHUNK_ROWS rows at a time; the matrix fixes the distribution, and one
-    distribution is computed per distinct key, exactly on rational states
-    and by correctly rounded sums on float states. Keys whose distributions are pairwise within ``tolerance`` (0 on
-    rational states) form one class, named by its least distribution; a
-    tolerance under which closeness is not transitive raises ValidationError.
-    Classes are numbered by first appearance, and each one's representative
-    is its first permutation in scan order.
+    multiplicity matrix in one array pass over all rows of images
+    (_key_slots); the matrix fixes the distribution, and one distribution is
+    computed per distinct key, exactly on rational states and by correctly
+    rounded sums on float states. Keys whose distributions are pairwise
+    within ``tolerance`` (0 on rational states) form one class, named by its
+    least distribution; a tolerance under which closeness is not transitive
+    raises ValidationError. Classes are numbered by first appearance, each
+    one's representative is its first permutation in scan order, and the
+    counts come from one ``np.bincount`` of the labels.
     """
     input_state = build_input_state(shape, state)
     if mode == "exhaustive":
@@ -434,7 +410,7 @@ def distribution_class_partition(
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
-    chunk_slots, firsts = _key_slots(images, shape)
+    slots, firsts = _key_slots(images, shape)
     first_images = [tuple(images[row].tolist()) for row in firsts]
     dists = [
         output_distribution(input_state, Permutation(image)).probabilities
@@ -450,13 +426,9 @@ def distribution_class_partition(
     firsts_of_class: Dict[int, tuple] = {}
     for label, image in zip(class_of_slot, first_images):
         firsts_of_class.setdefault(label, image)
-    label_of_slot = np.array(class_of_slot)
-    counts = np.zeros(len(order), dtype=np.int64)
-    labels: list = []
-    for slots in chunk_slots:
-        chunk_labels = label_of_slot[slots]
-        counts += np.bincount(chunk_labels, minlength=len(order))
-        labels.extend(chunk_labels.tolist())
+    labels = np.array(class_of_slot, dtype=np.intp)[slots]
+    labels.flags.writeable = False
+    counts = np.bincount(labels, minlength=len(order))
     classes = {
         key: ClassInfo(Permutation(firsts_of_class[label]), int(counts[label]))
         for key, label in order.items()
@@ -464,7 +436,7 @@ def distribution_class_partition(
     return ClassPartitionReport(
         shape=shape,
         classes=classes,
-        labels=tuple(labels) if mode == "exhaustive" else None,
+        labels=labels if mode == "exhaustive" else None,
     )
 
 

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import RegisterShape, ResourceState
 from .cost import (
     Aggregator,
@@ -156,7 +158,7 @@ def nfl_compare(
         m_star=m_star,
         m_a=m_a,
         m_b=m_b,
-        partitions_identical=part_a.labels == part_b.labels,
+        partitions_identical=np.array_equal(part_a.labels, part_b.labels),
         cost_pairs=cost_pairs,
         secondary_class_counts=secondary_counts,
         secondary_cost_pairs=secondary_pairs,

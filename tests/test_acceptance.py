@@ -128,7 +128,7 @@ def test_accept_04_identical_partitions_and_costs():
     state_b = sample_haar_qr(1, seed=2)
     part_a = distribution_class_partition(state_a, S1)
     part_b = distribution_class_partition(state_b, S1)
-    ok = part_a.labels == part_b.labels
+    ok = np.array_equal(part_a.labels, part_b.labels)
     models = [TRANSPOSITION_MODEL, make_gate_count_model(S1.n)]
     aggregators = [Aggregator("average"), Aggregator("max"), Aggregator("budget", (1.0,))]
     avg_value = None

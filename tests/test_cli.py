@@ -318,6 +318,18 @@ class TestTimings:
 
 
 class TestParser:
+    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path):
+        assert nflab.cli.build_parser() is nflab.cli.build_parser()
+        run_cli(capsys, "nfl", "--nx", "1")
+        _, out = run_cli(capsys, "nfl")
+        assert "secondary_classes" not in json.loads(out)["results"]
+        path = tmp_path / "classes.csv"
+        run_cli(capsys, "classes", "--csv", str(path))
+        path.unlink()
+        code, _ = run_cli(capsys, "classes")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,9 +1,12 @@
 """Unit tests for multiplicative/distribution classes and class counting."""
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,11 @@ class TestMultiplicityKey:
     def test_swap_key(self):
         assert multiplicity_key(transposition(0, 4, 8), S1) == ((1, 2, 1), (1, 0, 3))
 
+    def test_key_keeps_empty_last_cell(self):
+        # The zero class fills bin 0, so the last cell (bin 1, zero class) is 0.
+        swap_bins = Permutation((4, 5, 6, 7, 0, 1, 2, 3))
+        assert multiplicity_key(swap_bins, S1) == ((0, 0, 4), (2, 2, 0))
+
     def test_key_invariant_under_double_coset_moves(self):
         rng = random.Random(9)
         v = value_group_spec(S1)
@@ -133,7 +141,7 @@ class TestDistributionPartition:
         rep_r = distribution_class_partition(FIXTURE, S1)
         rep_f = distribution_class_partition(float_state([0.64, 0.36]), S1)
         assert rep_f.num_classes == rep_r.num_classes
-        assert rep_f.labels == rep_r.labels
+        assert np.array_equal(rep_f.labels, rep_r.labels)
 
     def test_sampled_mode(self):
         report = distribution_class_partition(
@@ -148,8 +156,13 @@ class TestDistributionPartition:
             (FIXTURE, S1),
             (rational_state([Fraction(1, 2), Fraction(1, 2)]), S1),
             make_collision_state(),
+            (
+                rational_state([Fraction(k, 10) for k in (1, 2, 3, 4)]),
+                RegisterShape(0, 0, 2, 1),
+            ),
+            (FIXTURE, RegisterShape(0, 0, 1, 1)),
         ],
-        ids=["fixture", "uniform", "collision"],
+        ids=["fixture", "uniform", "collision", "n4", "n2"],
     )
     def test_labels_match_exact_distribution_scan(self, state, shape):
         # Oracle: group all N! permutations by their exact distribution,
@@ -170,11 +183,40 @@ class TestDistributionPartition:
         for image, label in zip(images, labels):
             firsts.setdefault(label, image)
         report = distribution_class_partition(state, shape)
-        assert report.labels == labels
+        assert not report.labels.flags.writeable
+        assert np.issubdtype(report.labels.dtype, np.integer)
+        assert len(report.labels) == math.factorial(shape.N)
+        assert np.array_equal(report.labels, labels)
         assert list(report.classes) == list(order)
         infos = list(report.classes.values())
         assert [info.representative.image for info in infos] == [firsts[c] for c in order.values()]
         assert [info.count for info in infos] == [labels.count(c) for c in order.values()]
+
+    @pytest.mark.parametrize(
+        "shape", [RegisterShape(0, 0, 1, 1), S1], ids=["n2", "n8"]
+    )
+    def test_sampled_classes_match_replayed_draws(self, shape):
+        # Oracle: replay the same shuffles, group the draws by exact
+        # distribution and number the classes by first appearance. N = 2
+        # keys each draw as one 8-byte integer, N = 8 as a 32-byte string.
+        inp = build_input_state(shape, FIXTURE)
+        rng = random.Random(17)
+        draw = list(range(shape.N))
+        order, counts, firsts = {}, collections.Counter(), {}
+        for _ in range(500):
+            rng.shuffle(draw)
+            dist = output_distribution(inp, Permutation(tuple(draw))).probabilities
+            label = order.setdefault(dist, len(order))
+            counts[label] += 1
+            firsts.setdefault(label, tuple(draw))
+        report = distribution_class_partition(
+            FIXTURE, shape, mode="sampled", samples=500, seed=17
+        )
+        assert report.labels is None
+        assert list(report.classes) == list(order)
+        infos = list(report.classes.values())
+        assert [info.count for info in infos] == [counts[c] for c in order.values()]
+        assert [info.representative.image for info in infos] == [firsts[c] for c in order.values()]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,7 +232,7 @@ class TestDistributionPartition:
         rounded = float_state([w / total for w in weights])
         rep_r = distribution_class_partition(exact, shape)
         rep_f = distribution_class_partition(rounded, shape)
-        assert rep_f.labels == rep_r.labels
+        assert np.array_equal(rep_f.labels, rep_r.labels)
         sampled = [
             distribution_class_partition(
                 state, shape, mode="sampled", samples=30, seed=seed
